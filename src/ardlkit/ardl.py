@@ -88,8 +88,6 @@ class ArdlModel:
     spec: ArdlSpec
     levels_fit: RegressionResult
     n_effective: int
-    series_values: dict[str, np.ndarray]
-    start: int
 
     @property
     def adjustment_coefficient(self) -> float:
@@ -140,12 +138,11 @@ class EcmResult:
         return abs(self.ecm_coefficient) * 100.0
 
 
-def _aligned_values(d: Dataset, spec: ArdlSpec) -> dict[str, np.ndarray]:
-    missing = [v for v in (spec.dependent, *spec.regressors) if v not in d.series]
+def _aligned_values(d: Dataset, names) -> dict[str, np.ndarray]:
+    missing = [v for v in names if v not in d.series]
     if missing:
         raise InvalidParameters(f"dataset lacks series {missing}")
-    return {v: np.asarray(d[v].values, dtype=np.float64)
-            for v in (spec.dependent, *spec.regressors)}
+    return {v: np.asarray(d[v].values, dtype=np.float64) for v in names}
 
 
 def _ecm_design(values: dict[str, np.ndarray], spec: ArdlSpec,
@@ -158,9 +155,7 @@ def _ecm_design(values: dict[str, np.ndarray], spec: ArdlSpec,
     dy = np.diff(y)
     dep = dy[start - 1:]
 
-    cols: dict[str, np.ndarray] = {CONST_NAME: np.ones(n - start)}
-    if spec.det is Deterministic.CONSTANT_TREND:
-        cols[TREND_NAME] = np.arange(start + 1, n + 1, dtype=np.float64)
+    cols = spec.det.columns(start, n)
     for i in range(1, spec.p):
         cols[f"D{spec.dependent}(-{i})"] = dy[start - 1 - i:n - 1 - i]
     for x in spec.regressors:
@@ -188,9 +183,7 @@ def _levels_design(values: dict[str, np.ndarray], spec: ArdlSpec,
     y = values[spec.dependent]
     n = len(y)
     dep = y[start:]
-    cols: dict[str, np.ndarray] = {CONST_NAME: np.ones(n - start)}
-    if spec.det is Deterministic.CONSTANT_TREND:
-        cols[TREND_NAME] = np.arange(start + 1, n + 1, dtype=np.float64)
+    cols = spec.det.columns(start, n)
     for i in range(1, spec.p + 1):
         cols[f"{spec.dependent}(-{i})"] = y[start - i:n - i]
     for x in spec.regressors:
@@ -207,23 +200,16 @@ def estimate_ardl(d: Dataset, spec: ArdlSpec) -> ArdlModel:
     Raises RankDeficient for collinear regressors and SampleTooShort
     when the lag structure exhausts the sample.
     """
-    values = _aligned_values(d, spec)
-    start = spec.max_order
-    dep, design = _ecm_design(values, spec, start)
+    values = _aligned_values(d, (spec.dependent, *spec.regressors))
+    dep, design = _ecm_design(values, spec, spec.max_order)
     fit = ols(dep, design)
-    return ArdlModel(
-        spec=spec,
-        levels_fit=fit,
-        n_effective=fit.n,
-        series_values=values,
-        start=start,
-    )
+    return ArdlModel(spec=spec, levels_fit=fit, n_effective=fit.n)
 
 
 def estimate_levels(d: Dataset, spec: ArdlSpec) -> RegressionResult:
     """Fit the equivalent levels form (used for cross-checking; shares
     residuals with estimate_ardl on the same data)."""
-    values = _aligned_values(d, spec)
+    values = _aligned_values(d, (spec.dependent, *spec.regressors))
     dep, design = _levels_design(values, spec, spec.max_order)
     return ols(dep, design)
 
@@ -247,13 +233,13 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
     dependent = dependent or d.dependent
     regressors = tuple(regressors) if regressors is not None else d.regressors
 
+    values = _aligned_values(d, (dependent, *regressors))
     start = max(max_p, max_q, 1)
     best = None
     for p in range(1, max_p + 1):
         for qs in itertools.product(range(max_q + 1), repeat=len(regressors)):
             spec = ArdlSpec(dependent, regressors, p,
                             dict(zip(regressors, qs)), det)
-            values = _aligned_values(d, spec)
             dep, design = _ecm_design(values, spec, start)
             fit = ols(dep, design)
             crit = fit.aic if criterion == "AIC" else fit.sbc
@@ -370,41 +356,31 @@ def estimate_ecm(m: ArdlModel,
                  lr: LongRunCoefficients | None = None) -> EcmResult:
     """Two-step error-correction regression.
 
-    The equilibrium error applies the long-run solution to the levels,
-    then the dependent difference is regressed on the short-run
-    difference terms and the one-period-lagged equilibrium error. On the
-    shared sample this reproduces the one-step levels loading exactly;
-    the residual gap is reported as a cross-check.
+    The one-step design loses its level columns and gains ECM(-1), the
+    long-run solution applied to those same columns: the dependent's
+    lagged level minus the long-run constant, each long-run slope times
+    its regressor's level column (the current level when q = 0) and,
+    with a trend, the long-run trend times TREND - 1. The dependent
+    difference is regressed on the result. ECM(-1) spans what the level
+    columns spanned next to the constant, so the loading reproduces the
+    one-step feedback; the residual gap is reported as a cross-check.
     """
     if lr is None:
         lr = long_run(m)
     spec = m.spec
-    values = m.series_values
-    y = values[spec.dependent]
-    n = len(y)
-    start = m.start
+    design = m.levels_fit.design
+    levels = [spec.level_name(v) for v in (spec.dependent, *spec.regressors)]
 
-    ec = y - lr.values[CONST_NAME]
-    for x in spec.regressors:
-        ec = ec - lr.values[x] * values[x]
+    ec = design.column(levels[0]) - lr.values[CONST_NAME]
+    for x, name in zip(spec.regressors, levels[1:]):
+        ec = ec - lr.values[x] * design.column(name)
     if spec.det is Deterministic.CONSTANT_TREND:
-        ec = ec - lr.values[TREND_NAME] * np.arange(1, n + 1)
+        ec = ec - lr.values[TREND_NAME] * (design.column(TREND_NAME) - 1.0)
 
-    dy = np.diff(y)
-    dep = dy[start - 1:]
-    cols: dict[str, np.ndarray] = {CONST_NAME: np.ones(n - start)}
-    if spec.det is Deterministic.CONSTANT_TREND:
-        cols[TREND_NAME] = np.arange(start + 1, n + 1, dtype=np.float64)
-    for i in range(1, spec.p):
-        cols[f"D{spec.dependent}(-{i})"] = dy[start - 1 - i:n - 1 - i]
-    for x in spec.regressors:
-        dx = np.diff(values[x])
-        cols[f"D{x}"] = dx[start - 1:]
-        for i in range(1, spec.q[x]):
-            cols[f"D{x}(-{i})"] = dx[start - 1 - i:n - 1 - i]
-    cols["ECM(-1)"] = ec[start - 1:n - 1]
-
-    fit = ols(dep, DesignMatrix.from_columns(cols))
+    short = design.drop(levels)
+    fit = ols(m.levels_fit.y,
+              DesignMatrix((*short.names, "ECM(-1)"),
+                           np.column_stack([short.matrix, ec])))
     loading = fit.coefficients["ECM(-1)"]
     short_run = {
         name: (fit.coefficients[name], fit.std_errors[name],

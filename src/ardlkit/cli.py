@@ -31,13 +31,9 @@ from .errors import (
     I2VariablePresent,
     NumericalError,
 )
-from .pipeline import (
-    PipelineConfig,
-    load_config,
-    run_pipeline,
-)
+from .pipeline import load_config, run_pipeline, unit_root_table
 from .simgen import dgp_from_dict, generate
-from .unitroot import Deterministic, adf_test, pp_test
+from .unitroot import UnitRootConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,77 +123,23 @@ def _cmd_ardl(args) -> int:
     result = run_pipeline(cfg)
     payload = report_mod.to_payload(result)
     payload.pop("unit_root", None)
-    if args.format == "json":
-        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    else:
-        data = report_mod.render_text(payload).encode()
-    _emit(data, args.output)
+    _emit(report_mod.render_payload(payload, args.format), args.output)
     return EXIT_OK
-
-
-def _unitroot_payload(path: str, cfg: PipelineConfig | None) -> dict:
-    ingestion = cfg.ingestion if cfg else IngestionConfig()
-    ur = cfg.unit_root if cfg else None
-    ds = dataio.load_csv(path, ingestion)
-    rows = []
-    for name in ds.series:
-        s = ds[name]
-        d1 = dataio.difference(s, 1)
-        for det in (Deterministic.CONSTANT, Deterministic.CONSTANT_TREND):
-            for stage, series in (("level", s), ("first_difference", d1)):
-                for test in ("ADF", "PP"):
-                    if test == "ADF":
-                        res = adf_test(series, det,
-                                       ur.max_lag if ur else None,
-                                       ur.rule if ur else "AIC")
-                    else:
-                        res = pp_test(series, det,
-                                      ur.bandwidth if ur else None)
-                    decisions = {
-                        a: ("reject" if v == "stationary"
-                            else "fail-to-reject")
-                        for a, v in res.verdict_at.items()
-                    }
-                    rows.append({
-                        "variable": name,
-                        "test": test,
-                        "spec": det.value,
-                        "stage": stage,
-                        "statistic": res.statistic,
-                        "lag_or_bandwidth": res.lag_or_bandwidth,
-                        "nobs": res.nobs,
-                        "critical_values": {
-                            report_mod.pct(a): cv
-                            for a, cv in sorted(res.critical_values.items())
-                        },
-                        "verdict_at": {
-                            report_mod.pct(a): v
-                            for a, v in sorted(res.verdict_at.items())
-                        },
-                        "stars": report_mod.stars_from_map(decisions,
-                                                           "reject"),
-                    })
-    return {"schema_version": report_mod.SCHEMA_VERSION,
-            "input": str(path), "table": rows}
 
 
 def _cmd_unitroot(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    payload = _unitroot_payload(args.input, cfg)
+    ds = dataio.load_csv(args.input,
+                         cfg.ingestion if cfg else IngestionConfig())
+    table = report_mod.unit_root_rows(unit_root_table(
+        ds.series, cfg.unit_root if cfg else UnitRootConfig()))
     if args.format == "json":
-        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        data = report_mod.render_payload({
+            "schema_version": report_mod.SCHEMA_VERSION,
+            "input": str(args.input), "table": table})
     else:
-        lines = ["UNIT ROOT TESTS", "-" * 60]
-        rows = [[r["variable"], r["test"],
-                 "trend" if r["spec"] == "constant_and_trend" else "no trend",
-                 r["stage"].replace("_", " "),
-                 f"{r['statistic']:.3f}" + r["stars"],
-                 str(r["lag_or_bandwidth"])]
-                for r in payload["table"]]
-        lines += report_mod._table(
-            ["variable", "test", "deterministic", "stage", "statistic",
-             "lags/bw"], rows)
-        lines.append("significance stars: * 10%, ** 5%, *** 1%")
+        lines = report_mod.unit_root_lines(table)
+        lines.append(report_mod.STARS_LEGEND)
         data = ("\n".join(lines) + "\n").encode()
     _emit(data, args.output)
     return EXIT_OK
@@ -233,11 +175,7 @@ def _cmd_render(args) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"report parse failure: {exc}") from None
-    if args.format == "json":
-        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    else:
-        data = report_mod.render_text(payload).encode()
-    _emit(data, args.output)
+    _emit(report_mod.render_payload(payload, args.format), args.output)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -196,19 +196,6 @@ class Dataset:
     def __getitem__(self, name: str) -> TimeSeries:
         return self.series[name]
 
-    def values_matrix(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Aligned (n x m) matrix of all member series plus column names."""
-        names = tuple(self.series)
-        mat = np.column_stack([self.series[n].values for n in names])
-        return mat, names
-
-    def replace_series(self, series: dict[str, TimeSeries],
-                       dependent: str) -> "Dataset":
-        """New dataset over the same provenance with a fresh series map."""
-        roles = {n: ("dependent" if n == dependent else "regressor")
-                 for n in series}
-        return Dataset(series=series, roles=roles, provenance=self.provenance)
-
 
 @dataclass(frozen=True)
 class IngestionConfig:
@@ -258,7 +245,8 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
     FileNotFoundError
         Missing input file.
     ParseError
-        Unparseable date or numeric cell (carries row and column).
+        Unparseable date cell, or a numeric cell that is not a finite
+        number (carries row and column).
     NonMonotoneIndex
         Dates out of order, duplicated, or gapped after policy handling.
     MissingValuePolicyViolation
@@ -309,10 +297,14 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
                     parsed.append(math.nan)
                     continue
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(row_i, col, f"not a number: {cell!r}") \
                         from None
+                if not math.isfinite(value):
+                    raise ParseError(row_i, col,
+                                     f"not a finite number: {cell!r}")
+                parsed.append(value)
             rows.append(parsed)
 
     if not rows:

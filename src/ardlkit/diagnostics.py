@@ -228,11 +228,14 @@ def cusum(rr: RegressionResult, X: DesignMatrix | None = None,
     """Cumulative sum of scaled recursive residuals with straight-line
     bounds +/- a (sqrt(m) + 2 r / sqrt(m)), m = n - k."""
     X = X if X is not None else rr.design
+    return _cusum(recursive_residuals(rr.y, X), alpha)
+
+
+def _cusum(w: np.ndarray, alpha: float) -> StabilityResult:
     if alpha not in CUSUM_CRITICAL:
         raise ConfigError(
             f"CUSUM bounds tabulated at {sorted(CUSUM_CRITICAL)}, got {alpha}"
         )
-    w = recursive_residuals(rr.y, X)
     m = w.shape[0]
     sigma = math.sqrt(float(w @ w) / m)
     path = np.cumsum(w) / sigma if sigma > 0.0 else np.zeros(m)
@@ -249,9 +252,12 @@ def cusumsq(rr: RegressionResult, X: DesignMatrix | None = None,
     """Cumulative squared recursive-residual share against parallel
     bounds r/m +/- c0 from the embedded table (5% only)."""
     X = X if X is not None else rr.design
+    return _cusumsq(recursive_residuals(rr.y, X), alpha)
+
+
+def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
     if alpha != 0.05:
         raise ConfigError("CUSUMSQ offsets are tabulated at 5% only")
-    w = recursive_residuals(rr.y, X)
     m = w.shape[0]
     w2 = w**2
     total = float(w2.sum())
@@ -280,8 +286,10 @@ def run_battery(rr: RegressionResult, X: DesignMatrix | None = None,
         if "functional_form" in include else None
     nm = jarque_bera(rr.residuals) if "normality" in include else None
     ht = breusch_pagan(rr, X) if "heteroscedasticity" in include else None
-    cs = cusum(rr, X, alpha) if "stability" in include else None
-    csq = cusumsq(rr, X, 0.05) if "stability" in include else None
+    cs = csq = None
+    if "stability" in include:
+        w = recursive_residuals(rr.y, X)
+        cs, csq = _cusum(w, alpha), _cusumsq(w, 0.05)
 
     ok = True
     for t in (sc, ff, nm, ht):

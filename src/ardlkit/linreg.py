@@ -126,7 +126,8 @@ class RegressionResult:
     sigma2 is the unbiased residual variance RSS/(n-k); the Gaussian
     log-likelihood is concentrated, i.e. evaluated at the ML variance
     RSS/n. AIC = -2 logL + 2k and SBC = -2 logL + k ln n use that
-    log-likelihood, so the two variance conventions are deliberate.
+    log-likelihood, so the two variance conventions are deliberate; both
+    criteria come from information_criteria.
     """
 
     coefficients: dict[str, float]
@@ -139,14 +140,20 @@ class RegressionResult:
     f_statistic: float
     durbin_watson: float
     log_likelihood: float
-    aic: float
-    sbc: float
     sigma2: float
     cov_matrix: np.ndarray
     n: int
     k: int
     design: DesignMatrix
     y: np.ndarray
+
+    @property
+    def aic(self) -> float:
+        return information_criteria(self)[0]
+
+    @property
+    def sbc(self) -> float:
+        return information_criteria(self)[1]
 
     @property
     def rss(self) -> float:
@@ -247,9 +254,6 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
         dw = math.nan
         log_l = math.inf
 
-    aic = -2.0 * log_l + 2.0 * k
-    sbc = -2.0 * log_l + k * math.log(n)
-
     names = X.names
     return RegressionResult(
         coefficients={nm: float(b) for nm, b in zip(names, beta)},
@@ -263,8 +267,6 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
         f_statistic=f_stat,
         durbin_watson=dw,
         log_likelihood=log_l,
-        aic=aic,
-        sbc=sbc,
         sigma2=sigma2,
         cov_matrix=cov,
         n=n,

@@ -10,7 +10,7 @@ same config and input file, same bytes out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -88,18 +88,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class UnitRootStage:
-    """Unit-root screening options (classification side)."""
-
-    test: str = "ADF"
-    spec: Deterministic = Deterministic.CONSTANT
-    alpha: float = 0.05
-    max_lag: int | None = None
-    rule: str = "AIC"
-    bandwidth: int | None = None
-
-
-@dataclass(frozen=True)
 class DiagnosticsStage:
     enabled: bool = True
     bg_lags: int = 2
@@ -109,6 +97,17 @@ class DiagnosticsStage:
     normality: bool = True
     heteroscedasticity: bool = True
     stability: bool = True
+
+    def __post_init__(self):
+        if (isinstance(self.bg_lags, bool) or not isinstance(self.bg_lags, int)
+                or self.bg_lags < 1):
+            raise ConfigError(f"diagnostics.bg_lags must be a whole number "
+                              f">= 1, got {self.bg_lags!r}")
+        if not self.reset_powers or not all(p in (2, 3, 4)
+                                            for p in self.reset_powers):
+            raise ConfigError("diagnostics.reset_powers must be a nonempty "
+                              f"subset of [2, 3, 4], got "
+                              f"{list(self.reset_powers)!r}")
 
     def include(self) -> tuple[str, ...]:
         out = []
@@ -132,7 +131,7 @@ class PipelineConfig:
     variables: tuple[VariableSpec, ...]
     models: tuple[ModelSpec, ...]
     levels: tuple[float, ...] = ALLOWED_LEVELS
-    unit_root: UnitRootStage = UnitRootStage()
+    unit_root: UnitRootConfig = UnitRootConfig()
     diagnostics: DiagnosticsStage = DiagnosticsStage()
     alpha: float = 0.05
     force: bool = False
@@ -158,7 +157,8 @@ class AnalysisReport:
 
     config: PipelineConfig
     provenance: dataio.Provenance
-    unit_root_table: tuple[dict, ...]
+    unit_root_table: dict[tuple[str, str, Deterministic, str],
+                          UnitRootResult]
     integration: tuple[IntegrationOrder, ...]
     models: tuple[ModelResult, ...]
     warnings: tuple[str, ...]
@@ -243,7 +243,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         ur_spec = Deterministic(spec_name)
     except ValueError:
         raise ConfigError(f"unknown deterministic spec {spec_name!r}") from None
-    unit_root = UnitRootStage(
+    unit_root = UnitRootConfig(
         test=str(ur.get("test", "ADF")).upper(),
         spec=ur_spec,
         alpha=float(ur.get("alpha", 0.05)),
@@ -251,16 +251,13 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         rule=str(ur.get("rule", "AIC")),
         bandwidth=ur.get("bandwidth"),
     )
-    if unit_root.test not in ("ADF", "PP"):
-        raise ConfigError("unit_root.test must be ADF or PP")
-    if unit_root.alpha not in ALLOWED_LEVELS:
-        raise ConfigError("unit_root.alpha must be one of 1%, 5%, 10%")
 
     dg = payload.get("diagnostics") or {}
     diagnostics = DiagnosticsStage(
         enabled=bool(dg.get("enabled", True)),
-        bg_lags=int(dg.get("bg_lags", 2)),
-        reset_powers=tuple(dg.get("reset_powers", (2,))),
+        bg_lags=dg.get("bg_lags", 2),
+        reset_powers=_as_tuple(dg.get("reset_powers", (2,)),
+                               "diagnostics.reset_powers"),
         serial_correlation=bool(dg.get("serial_correlation", True)),
         functional_form=bool(dg.get("functional_form", True)),
         normality=bool(dg.get("normality", True)),
@@ -360,19 +357,28 @@ def _align(variables: dict[str, TimeSeries], names: tuple[str, ...],
     return Dataset(series=trimmed, roles=roles)
 
 
-def _unit_root_row(variable: str, stage: str,
-                   res: UnitRootResult) -> dict:
-    return {
-        "variable": variable,
-        "test": res.test,
-        "spec": res.spec.value,
-        "stage": stage,
-        "statistic": res.statistic,
-        "lag_or_bandwidth": res.lag_or_bandwidth,
-        "nobs": res.nobs,
-        "critical_values": dict(res.critical_values),
-        "verdict_at": dict(res.verdict_at),
-    }
+def unit_root_table(series: dict[str, TimeSeries],
+                    ur: UnitRootConfig = UnitRootConfig()
+                    ) -> dict[tuple[str, str, Deterministic, str],
+                              UnitRootResult]:
+    """ADF and PP, without and with a trend, on each series' level and
+    first difference.
+
+    The results are keyed by (series, test, spec, stage) and ordered as
+    the report's rows: by series, then deterministic spec, then test
+    (ADF first), then stage (level first).
+    """
+    results: dict[tuple[str, str, Deterministic, str], UnitRootResult] = {}
+    for name, s in series.items():
+        stages = (("level", s), ("first_difference", dataio.difference(s, 1)))
+        for det in (Deterministic.CONSTANT, Deterministic.CONSTANT_TREND):
+            for stage, v in stages:
+                results[name, "ADF", det, stage] = adf_test(
+                    v, det, ur.max_lag, ur.rule)
+            for stage, v in stages:
+                results[name, "PP", det, stage] = pp_test(v, det,
+                                                          ur.bandwidth)
+    return results
 
 
 def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
@@ -382,40 +388,33 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     variable classifies beyond I(1); errors from any stage propagate
     with their own types so the CLI can map them to exit codes.
     """
+    from .report import pct   # report imports this module
+
     ds = dataio.load_csv(cfg.input_path, cfg.ingestion)
     variables = _build_variables(ds, cfg.variables)
     warnings: list[str] = []
 
-    used: list[str] = []
+    used: dict[str, TimeSeries] = {}
     for m in cfg.models:
         for name in (m.dependent, *m.regressors):
-            if name not in used:
-                used.append(name)
+            if name not in variables:
+                raise ConfigError(
+                    f"model references undefined variable {name!r}")
+            used[name] = variables[name]
 
-    table: list[dict] = []
     ur = cfg.unit_root
-    for name in used:
-        s = variables.get(name)
-        if s is None:
-            raise ConfigError(f"model references undefined variable {name!r}")
-        d1 = dataio.difference(s, 1)
-        for det in (Deterministic.CONSTANT, Deterministic.CONSTANT_TREND):
-            table.append(_unit_root_row(
-                name, "level", adf_test(s, det, ur.max_lag, ur.rule)))
-            table.append(_unit_root_row(
-                name, "first_difference",
-                adf_test(d1, det, ur.max_lag, ur.rule)))
-            table.append(_unit_root_row(
-                name, "level", pp_test(s, det, ur.bandwidth)))
-            table.append(_unit_root_row(
-                name, "first_difference", pp_test(d1, det, ur.bandwidth)))
-
-    classify_cfg = UnitRootConfig(
-        test=ur.test, spec=ur.spec, alpha=ur.alpha,
-        max_lag=ur.max_lag, rule=ur.rule, bandwidth=ur.bandwidth,
-    )
-    integration = tuple(classify_integration(variables[name], classify_cfg)
-                        for name in used)
+    table = unit_root_table(used, ur)
+    if ur.spec is Deterministic.NONE:
+        # the table has no test without deterministic terms
+        integration = tuple(classify_integration(s, ur)
+                            for s in used.values())
+    else:
+        test = ur.test.upper()
+        integration = tuple(
+            IntegrationOrder.from_tests(
+                name, table[name, test, ur.spec, "level"],
+                table[name, test, ur.spec, "first_difference"], ur.alpha)
+            for name in used)
     beyond = [io.series_name for io in integration if io.order == "higher"]
     if beyond:
         raise I2VariablePresent(
@@ -432,14 +431,14 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         if bounds.decision == "inconclusive":
             warnings.append(
                 f"{m.name}: bounds F {bounds.f_statistic:.4f} falls inside "
-                f"the {_pct(cfg.alpha)} band; cointegration inconclusive"
+                f"the {pct(cfg.alpha)} band; cointegration inconclusive"
             )
 
         gated = bounds.decision == "not_cointegrated" and not cfg.force
         lr = ecm = diag = None
         if gated:
             warnings.append(
-                f"{m.name}: no cointegration at {_pct(cfg.alpha)}; long-run "
+                f"{m.name}: no cointegration at {pct(cfg.alpha)}; long-run "
                 "and error-correction tables suppressed (set force: true "
                 "to override)"
             )
@@ -465,7 +464,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             if diag.verdict == "fail":
                 warnings.append(
                     f"{m.name}: diagnostics verdict fail at "
-                    f"{_pct(cfg.alpha)}"
+                    f"{pct(cfg.alpha)}"
                 )
         else:
             warnings.append(f"{m.name}: diagnostics disabled by config")
@@ -477,12 +476,8 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     return AnalysisReport(
         config=cfg,
         provenance=ds.provenance,
-        unit_root_table=tuple(table),
+        unit_root_table=table,
         integration=integration,
         models=tuple(model_results),
         warnings=tuple(warnings),
     )
-
-
-def _pct(alpha: float) -> str:
-    return f"{alpha * 100:g}%"

@@ -22,12 +22,13 @@ from .diagnostics import DiagnosticsReport, StabilityResult
 from .errors import ConfigError
 from .linreg import DEFAULT_LEVELS, TestStatistic, decisions_from_pvalue
 from .pipeline import AnalysisReport, ModelResult
-from .unitroot import IntegrationOrder
+from .unitroot import UnitRootResult
 
 SCHEMA_VERSION = 2
 P_VALUE_DIGITS = 10
 
 _ORDER_LABEL = {"I0": "I(0)", "I1": "I(1)", "higher": "I(2) or higher"}
+STARS_LEGEND = "significance stars: * 10%, ** 5%, *** 1%"
 
 
 def pct(alpha: float) -> str:
@@ -173,24 +174,6 @@ def _normal_sf(z: float) -> float:
 
 
 def _unit_root_payload(report: AnalysisReport) -> dict:
-    rows = []
-    for row in report.unit_root_table:
-        decisions = {a: ("reject" if v == "stationary" else "fail-to-reject")
-                     for a, v in row["verdict_at"].items()}
-        rows.append({
-            "variable": row["variable"],
-            "test": row["test"],
-            "spec": row["spec"],
-            "stage": row["stage"],
-            "statistic": row["statistic"],
-            "lag_or_bandwidth": row["lag_or_bandwidth"],
-            "nobs": row["nobs"],
-            "critical_values": {pct(a): cv for a, cv
-                                in sorted(row["critical_values"].items())},
-            "verdict_at": {pct(a): v for a, v
-                           in sorted(row["verdict_at"].items())},
-            "stars": stars_from_map(decisions, "reject"),
-        })
     ur = report.config.unit_root
     return {
         "classification": {
@@ -198,7 +181,7 @@ def _unit_root_payload(report: AnalysisReport) -> dict:
             "spec": ur.spec.value,
             "alpha": ur.alpha,
         },
-        "table": rows,
+        "table": unit_root_rows(report.unit_root_table),
         "integration": [
             {"variable": io.series_name, "order": io.order,
              "label": _ORDER_LABEL[io.order], "alpha": io.alpha}
@@ -237,11 +220,17 @@ def to_payload(report: AnalysisReport) -> dict:
 
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     """Encode a report as UTF-8 bytes in the requested format."""
+    return render_payload(to_payload(report), fmt)
+
+
+def render_payload(payload: dict, fmt: str = "json") -> bytes:
+    """Encode a payload as UTF-8 bytes: indented, key-sorted JSON, or
+    (for a to_payload mapping) the text report."""
     if fmt == "json":
-        text = json.dumps(to_payload(report), indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
         return (text + "\n").encode("utf-8")
     if fmt == "text":
-        return render_text(to_payload(report)).encode("utf-8")
+        return render_text(payload).encode("utf-8")
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
@@ -268,6 +257,37 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return out
 
 
+def unit_root_rows(results: dict[tuple, UnitRootResult]) -> list[dict]:
+    """The unit-root table's rows, one per pipeline.unit_root_table
+    result and in its order."""
+    return [{
+        "variable": variable,
+        "test": res.test,
+        "spec": res.spec.value,
+        "stage": stage,
+        "statistic": res.statistic,
+        "lag_or_bandwidth": res.lag_or_bandwidth,
+        "nobs": res.nobs,
+        "critical_values": {pct(a): cv for a, cv
+                            in sorted(res.critical_values.items())},
+        "verdict_at": {pct(a): v for a, v in sorted(res.verdict_at.items())},
+        "stars": stars_from_map(res.verdict_at, "stationary"),
+    } for (variable, _, _, stage), res in results.items()]
+
+
+def unit_root_lines(table: list[dict]) -> list[str]:
+    """The unit-root table's text section: heading, rule and table."""
+    rows = [[r["variable"], r["test"],
+             "trend" if r["spec"] == "constant_and_trend" else "no trend",
+             r["stage"].replace("_", " "),
+             _fmt(r["statistic"], 3) + r["stars"],
+             str(r["lag_or_bandwidth"])]
+            for r in table]
+    return ["UNIT ROOT TESTS", "-" * 60] + _table(
+        ["variable", "test", "deterministic", "stage", "statistic",
+         "lags/bw"], rows)
+
+
 def render_text(payload: dict) -> str:
     lines: list[str] = []
     push = lines.append
@@ -280,22 +300,7 @@ def render_text(payload: dict) -> str:
     push("")
 
     if payload.get("unit_root"):
-        push("UNIT ROOT TESTS")
-        push("-" * 60)
-        rows = []
-        for r in payload["unit_root"]["table"]:
-            rows.append([
-                r["variable"], r["test"],
-                "trend" if r["spec"] == "constant_and_trend" else "no trend",
-                r["stage"].replace("_", " "),
-                _fmt(r["statistic"], 3) + r["stars"],
-                str(r["lag_or_bandwidth"]),
-            ])
-        lines += _table(
-            ["variable", "test", "deterministic", "stage", "statistic",
-             "lags/bw"],
-            rows,
-        )
+        lines += unit_root_lines(payload["unit_root"]["table"])
         cls = payload["unit_root"]["classification"]
         push("")
         push(f"integration orders ({cls['test']}, {cls['spec']}, "
@@ -376,5 +381,5 @@ def render_text(payload: dict) -> str:
         for w in payload["warnings"]:
             push(f"  - {w}")
         push("")
-    push("significance stars: * 10%, ** 5%, *** 1%")
+    push(STARS_LEGEND)
     return "\n".join(lines) + "\n"

@@ -20,8 +20,11 @@ import numpy as np
 
 from .critvals import adf_critical_values
 from .dataio import TimeSeries, difference
-from .errors import SampleTooShort
+from .errors import ConfigError, SampleTooShort
 from .linreg import (
+    CONST_NAME,
+    DEFAULT_LEVELS,
+    TREND_NAME,
     DesignMatrix,
     RegressionResult,
     default_bandwidth,
@@ -34,6 +37,16 @@ class Deterministic(str, Enum):
     NONE = "none"
     CONSTANT = "constant"
     CONSTANT_TREND = "constant_and_trend"
+
+    def columns(self, start: int, n: int) -> dict[str, np.ndarray]:
+        """The constant and trend columns for rows start..n-1 of an
+        n-observation sample; the trend counts observations from 1."""
+        cols: dict[str, np.ndarray] = {}
+        if self is not Deterministic.NONE:
+            cols[CONST_NAME] = np.ones(n - start)
+        if self is Deterministic.CONSTANT_TREND:
+            cols[TREND_NAME] = np.arange(start + 1, n + 1, dtype=np.float64)
+        return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +81,20 @@ class IntegrationOrder:
     evidence: tuple[UnitRootResult, UnitRootResult]
     alpha: float
 
+    @classmethod
+    def from_tests(cls, series_name: str, level: UnitRootResult,
+                   diff: UnitRootResult, alpha: float) -> "IntegrationOrder":
+        """I(0) when the level rejects the unit root at alpha; I(1) when
+        the level fails but the first difference rejects; ``higher``
+        otherwise."""
+        if level.stationary_at(alpha):
+            order = "I0"
+        elif diff.stationary_at(alpha):
+            order = "I1"
+        else:
+            order = "higher"
+        return cls(series_name, order, (level, diff), alpha)
+
 
 @dataclass(frozen=True)
 class UnitRootConfig:
@@ -79,6 +106,23 @@ class UnitRootConfig:
     max_lag: int | None = None
     rule: str = "AIC"
     bandwidth: int | None = None
+
+    def __post_init__(self):
+        if self.test.upper() not in ("ADF", "PP"):
+            raise ConfigError(f"unit_root.test must be ADF or PP, "
+                              f"got {self.test!r}")
+        if self.alpha not in DEFAULT_LEVELS:
+            raise ConfigError("unit_root.alpha must be one of 1%, 5%, 10%")
+        if self.rule.upper() not in ("AIC", "SBC", "FIXED"):
+            raise ConfigError(f"unit_root.rule must be AIC, SBC or fixed, "
+                              f"got {self.rule!r}")
+        for key in ("max_lag", "bandwidth"):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)
+                                      or value < 0):
+                raise ConfigError(f"unit_root.{key} must be a whole number "
+                                  f">= 0, got {value!r}")
 
 
 def default_max_lag(n: int) -> int:
@@ -101,11 +145,7 @@ def _dickey_fuller_design(y: np.ndarray, spec: Deterministic, k: int,
     n = len(y)
     dy = np.diff(y)
     dep = dy[start - 1:]
-    cols: dict[str, np.ndarray] = {}
-    if spec is not Deterministic.NONE:
-        cols["C"] = np.ones(n - start)
-    if spec is Deterministic.CONSTANT_TREND:
-        cols["TREND"] = np.arange(start + 1, n + 1, dtype=np.float64)
+    cols = spec.columns(start, n)
     cols["Y(-1)"] = y[start - 1:-1]
     for i in range(1, k + 1):
         cols[f"DY(-{i})"] = dy[start - 1 - i:-i]
@@ -229,31 +269,16 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
 def _run_test(s: TimeSeries, cfg: UnitRootConfig) -> UnitRootResult:
     if cfg.test.upper() == "ADF":
         return adf_test(s, cfg.spec, cfg.max_lag, cfg.rule)
-    if cfg.test.upper() == "PP":
-        return pp_test(s, cfg.spec, cfg.bandwidth)
-    raise ValueError(f"unknown unit-root test {cfg.test!r}")
+    return pp_test(s, cfg.spec, cfg.bandwidth)
 
 
 def classify_integration(s: TimeSeries,
                          cfg: UnitRootConfig = UnitRootConfig()
                          ) -> IntegrationOrder:
-    """Classify a series as I(0), I(1) or higher.
-
-    I(0) when the level rejects the unit root at cfg.alpha; I(1) when
-    the level fails but the first difference rejects; ``higher``
-    otherwise. Both test results ship as evidence.
+    """Classify a series as I(0), I(1) or higher from cfg's test on its
+    level and first difference (see IntegrationOrder.from_tests). Both
+    test results ship as evidence.
     """
-    level = _run_test(s, cfg)
-    diff = _run_test(difference(s, 1), cfg)
-    if level.stationary_at(cfg.alpha):
-        order = "I0"
-    elif diff.stationary_at(cfg.alpha):
-        order = "I1"
-    else:
-        order = "higher"
-    return IntegrationOrder(
-        series_name=s.name,
-        order=order,
-        evidence=(level, diff),
-        alpha=cfg.alpha,
-    )
+    return IntegrationOrder.from_tests(
+        s.name, _run_test(s, cfg), _run_test(difference(s, 1), cfg),
+        cfg.alpha)

@@ -248,6 +248,21 @@ class TestEcm:
         assert ecm.speed_of_adjustment_pct == pytest.approx(
             abs(ecm.ecm_coefficient) * 100.0)
 
+    @pytest.mark.parametrize("det", [Deterministic.CONSTANT,
+                                     Deterministic.CONSTANT_TREND])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_two_step_loading_is_one_step_feedback(self, p, q, det):
+        ds = generate(CointegratedPair(T=300, seed=53))
+        m = estimate_ardl(ds, ArdlSpec("Y", ("X",), p=p, q={"X": q},
+                                       det=det))
+        ecm = estimate_ecm(m)
+        assert ecm.adjustment_gap <= 1e-12
+        # q = 0: the regressor enters through its current level, so it
+        # has no difference terms
+        assert {n for n in ecm.short_run if n.startswith("DX")} == (
+            {"DX"} | {f"DX(-{i})" for i in range(1, q)} if q else set())
+
     def test_short_run_block_names(self):
         ds = generate(CointegratedPair(T=300, seed=43))
         spec = ArdlSpec("Y", ("X",), p=2, q={"X": 2})

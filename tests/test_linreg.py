@@ -175,7 +175,7 @@ def _fake_result(log_l, k, n):
         residuals=np.zeros(n), fitted=np.zeros(n),
         r_squared=0.0, adj_r_squared=0.0, f_statistic=0.0,
         durbin_watson=2.0, log_likelihood=log_l,
-        aic=0.0, sbc=0.0, sigma2=1.0,
+        sigma2=1.0,
         cov_matrix=np.zeros((max(k, 1), max(k, 1))), n=n, k=k,
         design=DesignMatrix(("C",), np.ones((n, 1))), y=np.zeros(n),
     )

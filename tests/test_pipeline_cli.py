@@ -1,13 +1,20 @@
 import json
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ardlkit.diagnostics
+import ardlkit.pipeline
+import ardlkit.unitroot
 from ardlkit import (
+    Deterministic,
     RandomWalk,
+    coefficient_pvalues,
     generate,
     load_config,
     parse_config,
@@ -108,15 +115,63 @@ class TestPipelineRun:
                         "**" if v["5%"] == "stationary" else
                         "*" if v["10%"] == "stationary" else "")
             assert stars == expected
-        for model in payload["models"]:
-            for section in ("long_run", "short_run"):
-                if model[section] is None:
-                    continue
-                for row in model[section]["rows"]:
-                    p = row["p_value"]
+        # stars come from the unrounded p-values, not the serialized ones
+        for mr, model in zip(report.models, payload["models"]):
+            sections = [(model["conditional_ecm_rows"],
+                         coefficient_pvalues(mr.ardl.levels_fit))]
+            if mr.ecm is not None:
+                sections.append((model["short_run"]["rows"],
+                                 coefficient_pvalues(mr.ecm.fit)))
+            if mr.long_run is not None:
+                sections.append((model["long_run"]["rows"],
+                                 {name: math.erfc(abs(t) / math.sqrt(2.0))
+                                  for name, t in mr.long_run.t_stats.items()}))
+            for rows, exact in sections:
+                for row in rows:
+                    p = exact[row["variable"]]
                     expected = ("***" if p < 0.01 else "**" if p < 0.05
                                 else "*" if p < 0.10 else "")
                     assert row["stars"] == expected
+
+    def test_one_run_reuses_each_result(self, monkeypatch):
+        # the classification takes its ADF results from the unit-root
+        # table (2 variables x 2 specs x 2 stages) and the battery shares
+        # one set of recursive residuals between CUSUM and CUSUMSQ
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        adf = counted("adf_test", ardlkit.unitroot.adf_test)
+        monkeypatch.setattr(ardlkit.unitroot, "adf_test", adf)
+        monkeypatch.setattr(ardlkit.pipeline, "adf_test", adf)
+        monkeypatch.setattr(
+            ardlkit.diagnostics, "recursive_residuals",
+            counted("recursive_residuals",
+                    ardlkit.diagnostics.recursive_residuals))
+        report = run_pipeline(load_config(DATA / "seed13_config.yaml"))
+        assert calls["adf_test"] == 8
+        assert calls["recursive_residuals"] == len(report.models) == 1
+
+    def test_classification_is_the_tables_evidence(self, report):
+        # unit_root: {test: ADF, spec: constant}
+        for io in report.integration:
+            assert io.evidence == tuple(
+                report.unit_root_table[io.series_name, "ADF",
+                                       Deterministic.CONSTANT, stage]
+                for stage in ("level", "first_difference"))
+
+    def test_spec_none_classifies_outside_the_table(self):
+        payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
+        payload["unit_root"]["spec"] = "none"
+        report = run_pipeline(parse_config(payload, base_dir=DATA))
+        assert {spec for _, _, spec, _ in report.unit_root_table} == {
+            Deterministic.CONSTANT, Deterministic.CONSTANT_TREND}
+        for io in report.integration:
+            assert [e.spec.value for e in io.evidence] == ["none", "none"]
 
     def test_serialized_pvalues_match_exact_tails(self, report):
         # Each serialized p-value lies within half a unit of its 10th
@@ -290,6 +345,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["table"]) == 16
 
+    def test_unitroot_command_shares_the_pipeline_table(self, report,
+                                                        capsys):
+        argv = ["unitroot", "--input", str(DATA / "seed13.csv"),
+                "--config", str(DATA / "seed13_config.yaml")]
+        assert main(argv + ["--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        assert table == to_payload(report)["unit_root"]["table"]
+
+        assert main(argv + ["--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "UNIT ROOT TESTS"
+        report_text = render_report(report, "text").decode()
+        assert "\n".join(lines[:-1]) in report_text
+        assert len(lines) == 2 + 2 + len(table) + 1
+
     def test_ardl_command_skips_unit_root_section(self, capsys):
         code = main(["ardl", "--config", str(DATA / "seed13_config.yaml"),
                      "--format", "text"])
@@ -339,3 +409,38 @@ class TestCli:
         cfgp.write_text(yaml.safe_dump(base_config(str(csv))))
         assert main(["pipeline", "--config", str(cfgp)]) == 5
         capsys.readouterr()
+
+
+def _inf_cell(payload, tmp_path):
+    lines = (DATA / "seed13.csv").read_text().splitlines()
+    date, _, x = lines[4].split(",")
+    lines[4] = ",".join([date, "inf", x])
+    csv = tmp_path / "inf.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    payload["input"]["path"] = str(csv)
+
+
+def _setting(section, key, value):
+    def edit(payload, tmp_path):
+        payload[section][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, code", [
+    (_inf_cell, 3),
+    (_setting("unit_root", "max_lag", -1), 2),
+    (_setting("unit_root", "bandwidth", -1), 2),
+    (_setting("unit_root", "max_lag", 2.5), 2),
+    (_setting("diagnostics", "reset_powers", [5]), 2),
+    (_setting("diagnostics", "bg_lags", 0), 2),
+], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
+        "max_lag-fraction", "reset_powers-5", "bg_lags-0"])
+def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code):
+    payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
+    payload["input"]["path"] = str(DATA / "seed13.csv")
+    edit(payload, tmp_path)
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(yaml.safe_dump(payload))
+    # main returns, so no exception escaped
+    assert main(["pipeline", "--config", str(cfgp)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
