@@ -54,6 +54,7 @@ from .linreg import (
     default_bandwidth,
     durbin_watson,
     information_criteria,
+    nested_criteria,
     newey_west_lrv,
     ols,
     wald_f_test,

@@ -1,9 +1,15 @@
-"""Least-squares engine: OLS with full inference, Wald/F tests, and the
-Bartlett-kernel long-run variance.
+"""Least-squares engine: OLS with full inference, nested-model
+information criteria, Wald/F tests, and the Bartlett-kernel long-run
+variance.
 
 Every test in the toolkit reduces to a call into this module. Fits go
 through a pivoted QR decomposition, never the raw normal equations, with
 rank declared deficient below 1e-10 of the largest column norm.
+
+A lag search over nested designs needs no fit per candidate:
+``nested_criteria`` scores every leading column block of the largest
+design from one QR (the sequential sums of squares of R's ``anova.lm``)
+by the same AIC/SBC formulas as ``ols`` results.
 """
 
 from __future__ import annotations
@@ -186,21 +192,11 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
         A pivoted diagonal of R falls below 1e-10 of the largest column
         norm; the error names the offending columns.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != X.n:
-        raise DimensionMismatch(
-            f"y has shape {y.shape}, design has {X.n} rows"
-        )
+    y = _dependent(y, X)
     n, k = X.n, X.k
 
     Q, R, piv = sla.qr(X.matrix, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0:
-        raise RankDeficient(X.names, "design is identically zero")
-    deficient = np.flatnonzero(diag < RANK_RTOL * diag[0])
-    if deficient.size:
-        bad = tuple(X.names[piv[i]] for i in deficient)
-        raise RankDeficient(bad)
+    _check_rank(R, piv, X.names)
 
     beta_piv = sla.solve_triangular(R, Q.T @ y)
     beta = np.empty(k)
@@ -249,10 +245,9 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     if rss > 0.0:
         diffs = np.diff(residuals)
         dw = float(diffs @ diffs) / rss
-        log_l = -0.5 * n * (math.log(2.0 * math.pi) + math.log(rss / n) + 1.0)
     else:
         dw = math.nan
-        log_l = math.inf
+    log_l = _log_likelihood(rss, n)
 
     names = X.names
     return RegressionResult(
@@ -276,11 +271,68 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     )
 
 
+def _dependent(y, X: DesignMatrix) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.shape[0] != X.n:
+        raise DimensionMismatch(
+            f"y has shape {y.shape}, design has {X.n} rows"
+        )
+    return y
+
+
+def _check_rank(R: np.ndarray, piv: np.ndarray, names) -> None:
+    """Raise RankDeficient when a diagonal of the pivoted-QR factor R
+    falls below RANK_RTOL of the largest; names the offending columns."""
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0:
+        raise RankDeficient(names, "design is identically zero")
+    deficient = np.flatnonzero(diag < RANK_RTOL * diag[0])
+    if deficient.size:
+        raise RankDeficient(tuple(names[piv[i]] for i in deficient))
+
+
+def _log_likelihood(rss: float, n: int) -> float:
+    """Concentrated Gaussian log-likelihood (ML variance RSS/n); +inf
+    for an exact fit."""
+    if rss > 0.0:
+        return -0.5 * n * (math.log(2.0 * math.pi) + math.log(rss / n) + 1.0)
+    return math.inf
+
+
+def _criteria(log_l: float, n: int, k: int) -> tuple[float, float]:
+    return -2.0 * log_l + 2.0 * k, -2.0 * log_l + k * math.log(n)
+
+
 def information_criteria(rr: RegressionResult) -> tuple[float, float]:
     """(AIC, SBC) under the contract -2 logL + {2k, k ln n}."""
-    aic = -2.0 * rr.log_likelihood + 2.0 * rr.k
-    sbc = -2.0 * rr.log_likelihood + rr.k * math.log(rr.n)
-    return aic, sbc
+    return _criteria(rr.log_likelihood, rr.n, rr.k)
+
+
+def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
+    """(AIC, SBC) of y on each leading block X[:, :k], k = 0..X.k.
+
+    One Householder QR of [X | y] gives the effects vector z (its last
+    column of R); the RSS of the first k columns is sum_{i >= k} z_i^2.
+    Every block is scored on X's sample by the formulas of
+    information_criteria, so a search over the blocks chooses what a
+    fit per block would.
+
+    Raises
+    ------
+    DimensionMismatch
+        y does not match the design's row count.
+    RankDeficient
+        X fails the rank check of ``ols``; its leading blocks are then
+        not all estimable.
+    """
+    y = _dependent(y, X)
+    R, piv = sla.qr(X.matrix, mode="r", pivoting=True)
+    _check_rank(R, piv, X.names)
+    (R,) = sla.qr(np.column_stack([X.matrix, y]), mode="r")
+    z = R[:X.k + 1, X.k]
+    rss = np.cumsum(z[::-1] ** 2)[::-1]
+    return [_criteria(_log_likelihood(float(rss[k]), X.n), X.n, k)
+            for k in range(X.k + 1)]
 
 
 def wald_f_test(rr: RegressionResult, restricted_names,

@@ -172,6 +172,21 @@ def _as_tuple(value, what: str) -> tuple:
     raise ConfigError(f"{what} must be a list")
 
 
+def _converted(value, key: str, kind: type = float):
+    """value as a float, or as an int when it is a whole number; any
+    other value, a bool included, is a ConfigError naming the key."""
+    what = "a number" if kind is float else "a whole number"
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+        if kind is int and out != float(value):   # int(2.7) is 2
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    return out
+
+
 def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     """Build and validate a PipelineConfig from a parsed mapping.
 
@@ -203,7 +218,8 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         elif isinstance(vspec, dict):
             variables.append(VariableSpec(
                 name, vspec.get("source", name),
-                tuple(vspec.get("transforms", ())),
+                _as_tuple(vspec.get("transforms"),
+                          f"variable {name!r}: transforms"),
             ))
         else:
             raise ConfigError(f"variable {name!r} must map to a source "
@@ -213,14 +229,17 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     for mpayload in _as_tuple(payload.get("models"), "models"):
         if not isinstance(mpayload, dict):
             raise ConfigError("each model must be a mapping")
+        name = mpayload.get("name", f"model{len(models) + 1}")
         try:
             models.append(ModelSpec(
-                name=mpayload.get("name", f"model{len(models) + 1}"),
+                name=name,
                 dependent=mpayload["dependent"],
                 regressors=tuple(_as_tuple(mpayload.get("regressors"),
                                            "regressors")),
-                max_p=int(mpayload.get("max_p", 2)),
-                max_q=int(mpayload.get("max_q", 2)),
+                max_p=_converted(mpayload.get("max_p", 2),
+                                 f"model {name!r}: max_p", int),
+                max_q=_converted(mpayload.get("max_q", 2),
+                                 f"model {name!r}: max_q", int),
                 criterion=str(mpayload.get("criterion", "SBC")),
                 bounds_case=str(mpayload.get("bounds_case", "III")),
             ))
@@ -229,8 +248,8 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     if not models:
         raise ConfigError("config defines no models")
 
-    levels = tuple(float(a) for a in
-                   _as_tuple(payload.get("levels"), "levels") or ALLOWED_LEVELS)
+    levels = tuple(_converted(a, f"levels[{i}]") for i, a in enumerate(
+        _as_tuple(payload.get("levels"), "levels") or ALLOWED_LEVELS))
     bad = [a for a in levels if a not in ALLOWED_LEVELS]
     if bad:
         raise ConfigError(
@@ -246,7 +265,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     unit_root = UnitRootConfig(
         test=str(ur.get("test", "ADF")).upper(),
         spec=ur_spec,
-        alpha=float(ur.get("alpha", 0.05)),
+        alpha=_converted(ur.get("alpha", 0.05), "unit_root.alpha"),
         max_lag=ur.get("max_lag"),
         rule=str(ur.get("rule", "AIC")),
         bandwidth=ur.get("bandwidth"),
@@ -283,7 +302,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         levels=levels,
         unit_root=unit_root,
         diagnostics=diagnostics,
-        alpha=float(payload.get("alpha", 0.05)),
+        alpha=_converted(payload.get("alpha", 0.05), "alpha"),
         force=bool(payload.get("force", False)),
         json_path=_resolve(out.get("json")),
         text_path=_resolve(out.get("text")),

@@ -223,11 +223,24 @@ def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
     return render_payload(to_payload(report), fmt)
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def render_payload(payload: dict, fmt: str = "json") -> bytes:
     """Encode a payload as UTF-8 bytes: indented, key-sorted JSON, or
-    (for a to_payload mapping) the text report."""
+    (for a to_payload mapping) the text report. JSON is strict RFC 8259:
+    NaN and infinities are written as null."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(_finite_or_null(payload), indent=2,
+                          sort_keys=True, allow_nan=False)
         return (text + "\n").encode("utf-8")
     if fmt == "text":
         return render_text(payload).encode("utf-8")
@@ -345,8 +358,8 @@ def render_text(payload: dict) -> str:
                  f"F-statistic (overall) {_fmt(sr['f_statistic'], 4)}   "
                  f"DW {_fmt(sr['durbin_watson'])}")
             push(f"speed of adjustment: "
-                 f"{sr['speed_of_adjustment_pct']:.1f}% of a disequilibrium "
-                 "shock is corrected each period")
+                 f"{_fmt(sr['speed_of_adjustment_pct'], 1)}% of a "
+                 "disequilibrium shock is corrected each period")
             push("")
         if m["diagnostics"] is not None:
             d = m["diagnostics"]

@@ -28,6 +28,7 @@ from .linreg import (
     DesignMatrix,
     RegressionResult,
     default_bandwidth,
+    nested_criteria,
     newey_west_lrv,
     ols,
 )
@@ -135,32 +136,52 @@ def _verdicts(statistic: float, cvs: dict[float, float]) -> dict[float, str]:
             for a, cv in cvs.items()}
 
 
-def _dickey_fuller_design(y: np.ndarray, spec: Deterministic, k: int,
-                          start: int) -> tuple[np.ndarray, DesignMatrix]:
-    """Dependent Delta-y and regressors for an order-k augmentation.
+def _dickey_fuller_design(y: np.ndarray, spec: Deterministic,
+                          k: int) -> tuple[np.ndarray, DesignMatrix]:
+    """Dependent Delta-y and regressors for an order-k augmentation, on
+    the longest sample that order allows (levels k+1..n-1).
 
-    ``start`` is the first usable 0-based index of the level series;
-    passing a common start lets every candidate lag share one sample.
+    The columns are ordered C, [TREND], Y(-1), DY(-1..k), so the design
+    of every lower order is a leading block of this one.
     """
     n = len(y)
     dy = np.diff(y)
-    dep = dy[start - 1:]
-    cols = spec.columns(start, n)
-    cols["Y(-1)"] = y[start - 1:-1]
+    dep = dy[k:]
+    cols = spec.columns(k + 1, n)
+    cols["Y(-1)"] = y[k:-1]
     for i in range(1, k + 1):
-        cols[f"DY(-{i})"] = dy[start - 1 - i:-i]
+        cols[f"DY(-{i})"] = dy[k - i:-i]
     return dep, DesignMatrix.from_columns(cols)
+
+
+def _select_lag(y: np.ndarray, spec: Deterministic, max_lag: int,
+                rule: str) -> int:
+    """The augmentation order in 0..max_lag that minimises the rule's
+    criterion on the common max-lag sample; ties go to the smaller
+    order. Every order is scored from one factorization of the max-lag
+    design (linreg.nested_criteria)."""
+    dep, design = _dickey_fuller_design(y, spec, max_lag)
+    order0 = design.k - max_lag   # columns of the order-0 design
+    scores = nested_criteria(dep, design)[order0:]
+    best = None
+    for k, (aic, sbc) in enumerate(scores):
+        crit = aic if rule == "AIC" else sbc
+        if best is None or crit < best[0] - 1e-12:
+            best = (crit, k)
+    return best[1]
 
 
 def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
              max_lag: int | None = None, rule: str = "AIC") -> UnitRootResult:
     """Augmented Dickey-Fuller test.
 
-    Candidate augmentation orders 0..max_lag are all fit on the common
+    Candidate augmentation orders 0..max_lag are all scored on the common
     (max-lag-trimmed) sample so their information criteria are
-    comparable; ties break toward the smaller lag. The chosen order is
-    then refit on its own longest sample and the t-ratio on the lagged
-    level is the statistic.
+    comparable; ties break toward the smaller lag. The scores come from
+    one QR of the max-lag design, whose leading column blocks are the
+    lower orders' designs. The chosen order is then fit by ``ols`` on
+    its own longest sample and the t-ratio on the lagged level is the
+    statistic.
 
     Parameters
     ----------
@@ -187,20 +208,9 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     if rule not in ("AIC", "SBC", "fixed"):
         raise ValueError(f"unknown selection rule {rule!r}")
 
-    if rule == "fixed":
-        chosen = max_lag
-    else:
-        common_start = max_lag + 1
-        best = None
-        for k in range(max_lag + 1):
-            dep, design = _dickey_fuller_design(y, spec, k, common_start)
-            fit = ols(dep, design)
-            crit = fit.aic if rule == "AIC" else fit.sbc
-            if best is None or crit < best[0] - 1e-12:
-                best = (crit, k)
-        chosen = best[1]
-
-    dep, design = _dickey_fuller_design(y, spec, chosen, chosen + 1)
+    chosen = (max_lag if rule == "fixed"
+              else _select_lag(y, spec, max_lag, rule))
+    dep, design = _dickey_fuller_design(y, spec, chosen)
     fit = ols(dep, design)
     statistic = fit.t_stats["Y(-1)"]
     cvs = adf_critical_values(spec.value, fit.n)
@@ -235,7 +245,7 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     n = len(y)
     if n < 15:
         raise SampleTooShort(f"PP needs at least 15 observations, got {n}")
-    dep, design = _dickey_fuller_design(y, spec, 0, 1)
+    dep, design = _dickey_fuller_design(y, spec, 0)
     fit = ols(dep, design)
     if bandwidth is None:
         bandwidth = default_bandwidth(fit.n)

@@ -11,6 +11,7 @@ from ardlkit import (
     default_bandwidth,
     durbin_watson,
     information_criteria,
+    nested_criteria,
     newey_west_lrv,
     ols,
     wald_f_test,
@@ -167,6 +168,38 @@ class TestInformationCriteria:
         small = information_criteria(_fake_result(-100.0, k=2, n=50))[1]
         large = information_criteria(_fake_result(-100.0, k=3, n=50))[1]
         assert small < large
+
+
+class TestNestedCriteria:
+    def test_each_block_scores_as_its_own_fit(self, rng):
+        n = 60
+        cols = {"C": np.ones(n), "X1": rng.normal(size=n),
+                "X2": rng.normal(size=n), "X3": rng.normal(size=n)}
+        y = 1.0 + cols["X1"] - 0.5 * cols["X3"] + rng.normal(size=n)
+        scores = nested_criteria(y, design(**cols))
+        assert len(scores) == len(cols) + 1
+        names = list(cols)
+        for k in range(1, len(names) + 1):
+            fit = ols(y, design(**{nm: cols[nm] for nm in names[:k]}))
+            assert scores[k] == pytest.approx(information_criteria(fit),
+                                              rel=1e-12)
+        # the empty block leaves RSS = y'y
+        minus_2_log_l = n * (math.log(2.0 * math.pi)
+                             + math.log(float(y @ y) / n) + 1.0)
+        assert scores[0] == pytest.approx((minus_2_log_l, minus_2_log_l),
+                                          rel=1e-12)
+
+    def test_collinear_design_raises_as_ols_does(self, rng):
+        x = rng.normal(size=20)
+        X = design(C=np.ones(20), X=x, X2=2.0 * x)
+        with pytest.raises(RankDeficient):
+            ols(rng.normal(size=20), X)
+        with pytest.raises(RankDeficient):
+            nested_criteria(rng.normal(size=20), X)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            nested_criteria(np.ones(4), design(C=np.ones(5)))
 
 
 def _fake_result(log_l, k, n):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 import ardlkit.diagnostics
+import ardlkit.linreg
 import ardlkit.pipeline
 import ardlkit.unitroot
 from ardlkit import (
@@ -23,6 +25,7 @@ from ardlkit import (
     to_payload,
 )
 from ardlkit.cli import main
+from ardlkit.report import render_payload
 from ardlkit.errors import ConfigError, I2VariablePresent
 from ardlkit.simgen import gaussian_stream
 
@@ -155,6 +158,26 @@ class TestPipelineRun:
         report = run_pipeline(load_config(DATA / "seed13_config.yaml"))
         assert calls["adf_test"] == 8
         assert calls["recursive_residuals"] == len(report.models) == 1
+
+    def test_one_run_fit_count(self, monkeypatch):
+        # each ADF call scores its candidate lags from one factorization
+        # and fits only the chosen lag: 8 ADF, 8 PP and 13 ARDL-stage
+        # fits (165 when every candidate lag was fit)
+        calls = Counter()
+        ols = ardlkit.linreg.ols
+
+        def counted(*args, **kwargs):
+            calls["ols"] += 1
+            return ols(*args, **kwargs)
+
+        holders = [mod for name, mod in sys.modules.items()
+                   if (name == "ardlkit" or name.startswith("ardlkit."))
+                   and getattr(mod, "ols", None) is ols]
+        assert ardlkit.unitroot in holders and ardlkit.ardl in holders
+        for mod in holders:
+            monkeypatch.setattr(mod, "ols", counted)
+        run_pipeline(load_config(DATA / "seed13_config.yaml"))
+        assert calls["ols"] == 29
 
     def test_classification_is_the_tables_evidence(self, report):
         # unit_root: {test: ADF, spec: constant}
@@ -338,6 +361,35 @@ class TestCli:
         rendered = capsys.readouterr().out
         assert "UNIT ROOT TESTS" in rendered
 
+    def test_non_finite_numbers_are_strict_json_nulls(self, report,
+                                                      tmp_path, capsys):
+        payload = to_payload(report)
+        model = payload["models"][0]
+        payload["unit_root"]["table"][0]["statistic"] = math.nan
+        model["long_run"]["rows"][0]["t_stat"] = math.inf
+        model["short_run"]["f_statistic"] = -math.inf
+        model["short_run"]["speed_of_adjustment_pct"] = math.nan
+        model["diagnostics"]["normality"]["statistic"] = math.inf
+        model["bounds"]["bounds"]["5%"] = [math.nan, 4.0]
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = tmp_path / "rep.json"
+        out.write_bytes(render_payload(payload))
+        parsed = json.loads(out.read_text(), parse_constant=refuse)
+        pm = parsed["models"][0]
+        assert parsed["unit_root"]["table"][0]["statistic"] is None
+        assert pm["long_run"]["rows"][0]["t_stat"] is None
+        assert pm["short_run"]["f_statistic"] is None
+        assert pm["short_run"]["speed_of_adjustment_pct"] is None
+        assert pm["diagnostics"]["normality"]["statistic"] is None
+        assert pm["bounds"]["bounds"]["5%"] == [None, 4.0]
+
+        assert main(["render", "--input", str(out), "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "speed of adjustment: -% of a disequilibrium" in text
+
     def test_unitroot_command(self, capsys):
         code = main(["unitroot", "--input", str(DATA / "seed13.csv"),
                      "--format", "json"])
@@ -426,16 +478,45 @@ def _setting(section, key, value):
     return edit
 
 
-@pytest.mark.parametrize("edit, code", [
-    (_inf_cell, 3),
-    (_setting("unit_root", "max_lag", -1), 2),
-    (_setting("unit_root", "bandwidth", -1), 2),
-    (_setting("unit_root", "max_lag", 2.5), 2),
-    (_setting("diagnostics", "reset_powers", [5]), 2),
-    (_setting("diagnostics", "bg_lags", 0), 2),
+def _top(key, value):
+    def edit(payload, tmp_path):
+        payload[key] = value
+    return edit
+
+
+def _model(key, value):
+    def edit(payload, tmp_path):
+        payload["models"][0][key] = value
+    return edit
+
+
+def _log_transform_as(transforms):
+    def edit(payload, tmp_path):
+        payload["variables"] = {"LY": {"source": "Y",
+                                       "transforms": transforms}}
+    return edit
+
+
+@pytest.mark.parametrize("edit, code, names", [
+    (_inf_cell, 3, "column 'Y'"),
+    (_setting("unit_root", "max_lag", -1), 2, "unit_root.max_lag"),
+    (_setting("unit_root", "bandwidth", -1), 2, "unit_root.bandwidth"),
+    (_setting("unit_root", "max_lag", 2.5), 2, "unit_root.max_lag"),
+    (_setting("diagnostics", "reset_powers", [5]), 2,
+     "diagnostics.reset_powers"),
+    (_setting("diagnostics", "bg_lags", 0), 2, "diagnostics.bg_lags"),
+    (_top("alpha", "abc"), 2, "alpha"),
+    (_top("levels", ["abc"]), 2, "levels[0]"),
+    (_setting("unit_root", "alpha", "x"), 2, "unit_root.alpha"),
+    (_model("max_p", "abc"), 2, "max_p"),
+    (_model("max_p", 2.7), 2, "max_p"),
+    (_model("max_q", True), 2, "max_q"),
+    (_log_transform_as("log"), 2, "transforms"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
-        "max_lag-fraction", "reset_powers-5", "bg_lags-0"])
-def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code):
+        "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
+        "levels-text", "unit_root-alpha-text", "max_p-text",
+        "max_p-fraction", "max_q-bool", "transforms-string"])
+def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")
     edit(payload, tmp_path)
@@ -443,4 +524,7 @@ def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code):
     cfgp.write_text(yaml.safe_dump(payload))
     # main returns, so no exception escaped
     assert main(["pipeline", "--config", str(cfgp)]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert names in err
+

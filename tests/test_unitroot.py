@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ardlkit.unitroot
 from ardlkit import (
     Ar1,
+    DesignMatrix,
     Deterministic,
     RandomWalk,
     UnitRootConfig,
     adf_test,
     classify_integration,
     generate,
+    ols,
     pp_test,
 )
 from ardlkit.critvals import adf_critical_values
-from ardlkit.errors import RankDeficient, SampleTooShort
+from ardlkit.errors import ArdlkitError, RankDeficient, SampleTooShort
 from ardlkit.unitroot import default_max_lag, _verdicts
 
 from conftest import make_series, oracle_ols
@@ -78,6 +83,120 @@ class TestAdf:
     def test_default_max_lag_rule(self):
         assert default_max_lag(100) == 12
         assert default_max_lag(200) == 14
+
+
+def _oracle_design(y, spec, k, start):
+    """The order-k Dickey-Fuller regression on levels start..n-1."""
+    dy = np.diff(y)
+    m = len(y) - start
+    cols = {}
+    if spec is not Deterministic.NONE:
+        cols["C"] = np.ones(m)
+    if spec is Deterministic.CONSTANT_TREND:
+        cols["TREND"] = np.arange(start + 1, len(y) + 1, dtype=np.float64)
+    cols["Y(-1)"] = y[start - 1:-1]
+    for i in range(1, k + 1):
+        cols[f"DY(-{i})"] = dy[start - 1 - i:-i]
+    return dy[start - 1:], DesignMatrix.from_columns(cols)
+
+
+def _oracle_adf(s, spec, max_lag, rule):
+    """(lag, statistic) by one ols fit per candidate lag on the common
+    max-lag sample, then an ols refit of the chosen lag."""
+    y = s.values
+    if max_lag is None:
+        max_lag = default_max_lag(len(y))
+    best = None
+    for k in range(max_lag + 1):
+        fit = ols(*_oracle_design(y, spec, k, max_lag + 1))
+        crit = fit.aic if rule == "AIC" else fit.sbc
+        if best is None or crit < best[0] - 1e-12:
+            best = (crit, k)
+    lag = best[1]
+    return lag, ols(*_oracle_design(y, spec, lag, lag + 1)).t_stats["Y(-1)"]
+
+
+def _adf_lag_and_statistic(s, spec, max_lag, rule):
+    res = adf_test(s, spec, max_lag, rule)
+    return res.lag_or_bandwidth, res.statistic
+
+
+def _outcome(search, s, spec, max_lag, rule) -> str:
+    """repr of (lag, statistic), or of the ardlkit error's type; repr
+    keeps every bit of the statistic and lets NaN equal NaN."""
+    try:
+        return repr(search(s, spec, max_lag, rule))
+    except ArdlkitError as exc:
+        return repr(type(exc))
+
+
+def _simulated(kind, n, seed):
+    e = np.random.default_rng(seed).standard_normal(n)
+    if kind == "walk":
+        return np.cumsum(e)
+    if kind == "i2":
+        return np.cumsum(np.cumsum(e))
+    y = np.empty(n)
+    y[0] = e[0]
+    for t in range(1, n):
+        y[t] = 0.5 * y[t - 1] + e[t]
+    return y
+
+
+# the smallest sample the default max_lag accepts: n >= max_lag + 10
+_DEFAULT_MIN_T = next(n for n in range(1, 100) if n >= default_max_lag(n) + 10)
+
+
+class TestLagSelectionOracle:
+    """The one-factorization lag search against a fit per candidate."""
+
+    @pytest.mark.parametrize("max_lag", [0, 1, None])
+    @pytest.mark.parametrize("rule", ["AIC", "SBC"])
+    @pytest.mark.parametrize("spec", list(Deterministic))
+    @given(kind=st.sampled_from(["walk", "ar", "i2"]),
+           extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_same_lag_and_statistic(self, spec, rule, max_lag, kind, extra,
+                                    seed):
+        # short samples with a trend raise SampleTooShort on both sides
+        n = (_DEFAULT_MIN_T if max_lag is None else max_lag + 10) + extra
+        s = make_series(_simulated(kind, n, seed))
+        assert _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule) == \
+            _outcome(_oracle_adf, s, spec, max_lag, rule)
+
+    @pytest.mark.parametrize("scores, chosen", [
+        ((0.0, 0.0, 0.0, 0.0), 0),
+        ((0.0, -5e-13, 1.0, 1.0), 0),
+        ((0.0, -2e-12, 1.0, 1.0), 1),
+        ((0.0, -5e-13, -1e-12, -1.5e-12), 3),
+    ])
+    def test_ties_within_1e_12_go_to_the_smaller_lag(self, monkeypatch,
+                                                     scores, chosen):
+        # the criteria of orders 0..3; the search compares each order
+        # with the best so far, not with the order before it
+        monkeypatch.setattr(
+            ardlkit.unitroot, "nested_criteria",
+            lambda y, X: [(9.0, 9.0)] * (X.k - 3) + [(c, c) for c in scores])
+        s = make_series(_simulated("walk", 100, 1))
+        for rule in ("AIC", "SBC"):
+            assert adf_test(s, max_lag=3, rule=rule).lag_or_bandwidth == \
+                chosen
+
+    @pytest.mark.parametrize("max_lag", [None, 2, 0])
+    @pytest.mark.parametrize("rule", ["AIC", "SBC"])
+    @pytest.mark.parametrize("spec", list(Deterministic))
+    @pytest.mark.parametrize("shape", [
+        "constant", "linear", "quadratic", "alternating", "period3"])
+    def test_rank_deficient_exactly_where_the_oracle_is(self, shape, spec,
+                                                        rule, max_lag):
+        t = np.arange(60.0)
+        s = make_series({"constant": np.full(60, 5.0),
+                         "linear": 2.0 + 0.5 * t,
+                         "quadratic": 1.0 + 0.1 * t + 0.02 * t ** 2,
+                         "alternating": (-1.0) ** t,
+                         "period3": np.tile([1.0, 4.0, -2.0], 20)}[shape])
+        assert _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule) == \
+            _outcome(_oracle_adf, s, spec, max_lag, rule)
 
 
 class TestCriticalValues:
