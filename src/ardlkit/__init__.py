@@ -57,6 +57,7 @@ from .linreg import (
     nested_criteria,
     newey_west_lrv,
     ols,
+    subset_criteria,
     wald_f_test,
 )
 from .pipeline import (

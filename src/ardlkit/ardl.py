@@ -12,6 +12,10 @@ Lag-order conventions: p >= 1 counts lags of the dependent variable in
 the levels form, q >= 0 counts distributed lags of a regressor. A
 regressor with q = 0 enters the error-correction design through its
 current level (there is no separate lagged-level column to estimate).
+
+The (p, q) search fits no candidate: every candidate's design spans a
+column subset of the ARDL(max_p, max_q, ...) levels design, so one QR of
+that superset scores them all (``select_lags``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .linreg import (
     RegressionResult,
     TREND_NAME,
     ols,
+    subset_criteria,
     wald_f_test,
 )
 from .unitroot import Deterministic
@@ -182,6 +187,8 @@ def _levels_design(values: dict[str, np.ndarray], spec: ArdlSpec,
     """Plain levels-form regressors: y on own lags and regressor lags."""
     y = values[spec.dependent]
     n = len(y)
+    if start >= n:
+        raise SampleTooShort("lag structure leaves no usable observations")
     dep = y[start:]
     cols = spec.det.columns(start, n)
     for i in range(1, spec.p + 1):
@@ -221,9 +228,21 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
                 det: Deterministic = Deterministic.CONSTANT) -> ArdlSpec:
     """Exhaustive (p, q) grid search scored on a common sample.
 
-    Every candidate is fit on the sample implied by the largest lags so
-    information criteria are comparable. Ties break toward the smaller
-    total lag count, then the smaller p, then the q vector.
+    Every candidate is scored on the sample implied by the largest lags
+    so information criteria are comparable. Ties within 1e-9 break
+    toward the smaller total lag count, then the smaller p, then the q
+    vector.
+
+    No candidate is fit. Candidate (p, q)'s error-correction design
+    spans its levels form [det, Y(-1..p), X(0..q)], a column subset of
+    the ARDL(max_p, max_q, ...) levels design, so one QR of that
+    superset with the dependent difference scores every candidate
+    (linreg.subset_criteria). Its columns are ordered [det, Y(-1),
+    X blocks, Y(-2..-max_p)] per q vector, which makes every p a leading
+    block.
+
+    Raises RankDeficient when the superset fails the rank check of
+    ``ols`` and SampleTooShort when its lags exhaust the sample.
     """
     if max_p < 1 or max_q < 0:
         raise InvalidParameters("need max_p >= 1 and max_q >= 0")
@@ -234,21 +253,34 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
     regressors = tuple(regressors) if regressors is not None else d.regressors
 
     values = _aligned_values(d, (dependent, *regressors))
-    start = max(max_p, max_q, 1)
+    largest = ArdlSpec(dependent, regressors, max_p,
+                       {x: max_q for x in regressors}, det)
+    levels, design = _levels_design(values, largest, largest.max_order)
+    dy = levels - design.column(f"{dependent}(-1)")
+
+    # the deterministic columns and Y(-1) lead the levels design
+    index = {name: j for j, name in enumerate(design.names)}
+    head = list(range(index[f"{dependent}(-1)"] + 1))
+    tail = [index[f"{dependent}(-{i})"] for i in range(2, max_p + 1)]
+    grid = list(itertools.product(range(max_q + 1), repeat=len(regressors)))
+    orderings = [head + [index[x if i == 0 else f"{x}(-{i})"]
+                         for x, q in zip(regressors, qs)
+                         for i in range(q + 1)] + tail
+                 for qs in grid]
+    scores = subset_criteria(dy, design, orderings)
+
+    which = 0 if criterion == "AIC" else 1
     best = None
     for p in range(1, max_p + 1):
-        for qs in itertools.product(range(max_q + 1), repeat=len(regressors)):
-            spec = ArdlSpec(dependent, regressors, p,
-                            dict(zip(regressors, qs)), det)
-            dep, design = _ecm_design(values, spec, start)
-            fit = ols(dep, design)
-            crit = fit.aic if criterion == "AIC" else fit.sbc
+        for qs, ordering, crits in zip(grid, orderings, scores):
+            crit = crits[len(ordering) - max_p + p][which]
             key = (p + sum(qs), p, qs)
             if best is None or crit < best[0] - 1e-9 or (
                 abs(crit - best[0]) <= 1e-9 and key < best[1]
             ):
-                best = (crit, key, spec)
-    return best[2]
+                best = (crit, key)
+    _, (_, p, qs) = best
+    return ArdlSpec(dependent, regressors, p, dict(zip(regressors, qs)), det)
 
 
 def bounds_decision(f_statistic: float, case: str = "III", k: int = 1,

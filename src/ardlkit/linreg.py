@@ -6,10 +6,13 @@ Every test in the toolkit reduces to a call into this module. Fits go
 through a pivoted QR decomposition, never the raw normal equations, with
 rank declared deficient below 1e-10 of the largest column norm.
 
-A lag search over nested designs needs no fit per candidate:
-``nested_criteria`` scores every leading column block of the largest
-design from one QR (the sequential sums of squares of R's ``anova.lm``)
-by the same AIC/SBC formulas as ``ols`` results.
+A lag search needs no fit per candidate. ``nested_criteria`` scores
+every leading column block of the largest design from one QR (the
+sequential sums of squares of R's ``anova.lm``), and ``subset_criteria``
+scores the leading blocks of several column orderings of one superset
+design from that same QR, refactoring only the small triangle. Both
+read each RSS as a tail sum of an effects vector and score it by the
+same AIC/SBC formulas as ``ols`` results.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
 )
 
 RANK_RTOL = 1e-10
+EXACT_FIT_RTOL = 1e-13
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 CONST_NAME = "C"
@@ -164,6 +168,12 @@ class RegressionResult:
     @property
     def rss(self) -> float:
         return float(self.residuals @ self.residuals)
+
+    @property
+    def fits_exactly(self) -> bool:
+        """RSS at rounding level, at or below 1e-13 max(y'y, 1): ratios
+        over this RSS (t, F) are then undefined, not large."""
+        return self.rss <= EXACT_FIT_RTOL * max(float(self.y @ self.y), 1.0)
 
     @property
     def beta(self) -> np.ndarray:
@@ -308,6 +318,27 @@ def information_criteria(rr: RegressionResult) -> tuple[float, float]:
     return _criteria(rr.log_likelihood, rr.n, rr.k)
 
 
+def _effects_triangle(y, X: DesignMatrix) -> np.ndarray:
+    """The (k+1)x(k+1) triangle R of one Householder QR of [X | y],
+    after X passes the rank check of ``ols``. Its last column is the
+    effects vector: the RSS of y on X's first j columns is the sum of
+    its squared entries from j on."""
+    y = _dependent(y, X)
+    R, piv = sla.qr(X.matrix, mode="r", pivoting=True)
+    _check_rank(R, piv, X.names)
+    (R,) = sla.qr(np.column_stack([X.matrix, y]), mode="r")
+    return R[:X.k + 1]
+
+
+def _tail_criteria(R: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """(AIC, SBC) of y on each leading column block, j = 0..m, of a
+    triangle R of [X | y] with m columns of X, on n observations."""
+    z = R[:, -1]
+    rss = np.cumsum(z[::-1] ** 2)[::-1]
+    return [_criteria(_log_likelihood(float(rss[j]), n), n, j)
+            for j in range(len(z))]
+
+
 def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
     """(AIC, SBC) of y on each leading block X[:, :k], k = 0..X.k.
 
@@ -325,14 +356,24 @@ def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
         X fails the rank check of ``ols``; its leading blocks are then
         not all estimable.
     """
-    y = _dependent(y, X)
-    R, piv = sla.qr(X.matrix, mode="r", pivoting=True)
-    _check_rank(R, piv, X.names)
-    (R,) = sla.qr(np.column_stack([X.matrix, y]), mode="r")
-    z = R[:X.k + 1, X.k]
-    rss = np.cumsum(z[::-1] ** 2)[::-1]
-    return [_criteria(_log_likelihood(float(rss[k]), X.n), X.n, k)
-            for k in range(X.k + 1)]
+    return _tail_criteria(_effects_triangle(y, X), X.n)
+
+
+def subset_criteria(y, X: DesignMatrix,
+                    orderings) -> list[list[tuple[float, float]]]:
+    """(AIC, SBC) of y on each leading block of X[:, S], for each column
+    ordering S in ``orderings`` (a sequence of column-index sequences).
+
+    X is factored once, as in ``nested_criteria``; each ordering then
+    refactors only its columns of the small triangle [R_S | z], whose
+    effects vector gives that ordering's tail sums. So a search over
+    column subsets of one superset design fits nothing per subset.
+
+    Raises as ``nested_criteria``.
+    """
+    R = _effects_triangle(y, X)
+    return [_tail_criteria(np.linalg.qr(R[:, [*S, X.k]], mode="r"), X.n)
+            for S in orderings]
 
 
 def wald_f_test(rr: RegressionResult, restricted_names,
@@ -360,9 +401,7 @@ def wald_f_test(rr: RegressionResult, restricted_names,
     if unknown:
         raise UnknownCoefficient(", ".join(unknown))
 
-    rss_u = rr.rss
-    scale = float(rr.y @ rr.y)
-    if rss_u <= 1e-13 * max(scale, 1.0):
+    if rr.fits_exactly:
         raise PerfectFitDegenerate(
             "unrestricted model fits exactly; F ratio undefined"
         )
@@ -375,8 +414,9 @@ def wald_f_test(rr: RegressionResult, restricted_names,
             raise DegenerateRestriction(str(exc)) from exc
         rss_r = restricted_fit.rss
     else:
-        rss_r = scale
+        rss_r = float(rr.y @ rr.y)
 
+    rss_u = rr.rss
     q = len(restricted)
     df = rr.n - rr.k
     f_stat = max(rss_r - rss_u, 0.0) / q / (rss_u / df)

@@ -187,6 +187,14 @@ def _converted(value, key: str, kind: type = float):
     return out
 
 
+def _flag(value, key: str) -> bool:
+    """value when it is a YAML boolean; any other value, the text
+    "false" included, is a ConfigError naming the key."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
 def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     """Build and validate a PipelineConfig from a parsed mapping.
 
@@ -273,15 +281,12 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
 
     dg = payload.get("diagnostics") or {}
     diagnostics = DiagnosticsStage(
-        enabled=bool(dg.get("enabled", True)),
         bg_lags=dg.get("bg_lags", 2),
         reset_powers=_as_tuple(dg.get("reset_powers", (2,)),
                                "diagnostics.reset_powers"),
-        serial_correlation=bool(dg.get("serial_correlation", True)),
-        functional_form=bool(dg.get("functional_form", True)),
-        normality=bool(dg.get("normality", True)),
-        heteroscedasticity=bool(dg.get("heteroscedasticity", True)),
-        stability=bool(dg.get("stability", True)),
+        **{key: _flag(dg.get(key, True), f"diagnostics.{key}")
+           for key in ("enabled", "serial_correlation", "functional_form",
+                       "normality", "heteroscedasticity", "stability")},
     )
 
     out = payload.get("output") or {}
@@ -303,7 +308,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         unit_root=unit_root,
         diagnostics=diagnostics,
         alpha=_converted(payload.get("alpha", 0.05), "alpha"),
-        force=bool(payload.get("force", False)),
+        force=_flag(payload.get("force", False), "force"),
         json_path=_resolve(out.get("json")),
         text_path=_resolve(out.get("text")),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .critvals import adf_critical_values
 from .dataio import TimeSeries, difference
-from .errors import ConfigError, SampleTooShort
+from .errors import ConfigError, PerfectFitDegenerate, SampleTooShort
 from .linreg import (
     CONST_NAME,
     DEFAULT_LEVELS,
@@ -154,6 +154,22 @@ def _dickey_fuller_design(y: np.ndarray, spec: Deterministic,
     return dep, DesignMatrix.from_columns(cols)
 
 
+def _test_regression(y: np.ndarray, spec: Deterministic,
+                     k: int) -> RegressionResult:
+    """The order-k Dickey-Fuller regression, fit by ``ols``.
+
+    Raises PerfectFitDegenerate when it fits exactly (the rule of
+    ``wald_f_test``): its t-ratio is then rounding noise, NaN or
+    +-1e16, not evidence.
+    """
+    fit = ols(*_dickey_fuller_design(y, spec, k))
+    if fit.fits_exactly:
+        raise PerfectFitDegenerate(
+            f"order-{k} Dickey-Fuller regression fits exactly; "
+            "t-ratio undefined")
+    return fit
+
+
 def _select_lag(y: np.ndarray, spec: Deterministic, max_lag: int,
                 rule: str) -> int:
     """The augmentation order in 0..max_lag that minimises the rule's
@@ -192,6 +208,13 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
         Largest augmentation order; default floor(12 (n/100)^(1/4)).
     rule : {"AIC", "SBC", "fixed"}
         Selection criterion; ``fixed`` uses max_lag as the order.
+
+    Raises
+    ------
+    RankDeficient
+        The max-lag design is collinear.
+    PerfectFitDegenerate
+        The chosen order's regression fits exactly.
     """
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
@@ -210,8 +233,7 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
 
     chosen = (max_lag if rule == "fixed"
               else _select_lag(y, spec, max_lag, rule))
-    dep, design = _dickey_fuller_design(y, spec, chosen)
-    fit = ols(dep, design)
+    fit = _test_regression(y, spec, chosen)
     statistic = fit.t_stats["Y(-1)"]
     cvs = adf_critical_values(spec.value, fit.n)
     return UnitRootResult(
@@ -239,14 +261,14 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     where g0 is the short-run residual variance (divisor n), l2 the
     long-run variance at the chosen bandwidth, se the OLS standard error
     of the lagged-level coefficient and s the regression standard error.
-    With zero bandwidth l2 == g0 and Z_t is the plain t-ratio.
+    With zero bandwidth l2 == g0 and Z_t is the plain t-ratio. An exact
+    fit raises PerfectFitDegenerate, as in ``adf_test``.
     """
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
     if n < 15:
         raise SampleTooShort(f"PP needs at least 15 observations, got {n}")
-    dep, design = _dickey_fuller_design(y, spec, 0)
-    fit = ols(dep, design)
+    fit = _test_regression(y, spec, 0)
     if bandwidth is None:
         bandwidth = default_bandwidth(fit.n)
     if bandwidth < 0:

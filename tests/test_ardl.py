@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ardlkit.ardl
 from ardlkit import (
+    Ar1,
     ArdlProcess,
     ArdlSpec,
     CointegratedPair,
@@ -16,12 +22,16 @@ from ardlkit import (
     estimate_levels,
     generate,
     long_run,
+    ols,
     select_lags,
 )
+from ardlkit.ardl import _aligned_values, _ecm_design
 from ardlkit.errors import (
+    ArdlkitError,
     DegenerateAdjustment,
     InvalidParameters,
     RankDeficient,
+    SampleTooShort,
 )
 
 from conftest import make_dataset, make_series, oracle_ols
@@ -85,6 +95,13 @@ class TestEstimation:
         m3 = estimate_ardl(ds, ArdlSpec("Y", ("X",), p=1, q={"X": 3}))
         assert m3.n_effective == 57
 
+    def test_lags_beyond_the_sample(self):
+        ds = make_dataset({"Y": np.arange(4.0), "X": np.ones(4)}, "Y")
+        spec = ArdlSpec("Y", ("X",), p=5, q={"X": 0})
+        for estimate in (estimate_ardl, estimate_levels):
+            with pytest.raises(SampleTooShort):
+                estimate(ds, spec)
+
     def test_cointegrated_fixture_negative_feedback(self):
         ds = generate(CointegratedPair(T=400, seed=13, beta=3.0,
                                        adjustment=-0.6))
@@ -136,6 +153,162 @@ class TestLagSelection:
     def test_criterion_validated(self):
         with pytest.raises(InvalidParameters):
             select_lags(noiseless_ardl10(), 2, 2, "HQC")
+
+
+def _common_sample_fit(ds, spec, max_p, max_q):
+    """ols fit of spec's error-correction form on the sample of the
+    largest lags."""
+    values = _aligned_values(ds, (spec.dependent, *spec.regressors))
+    return ols(*_ecm_design(values, spec, max(max_p, max_q, 1)))
+
+
+def _oracle_select_lags(ds, max_p, max_q, criterion, det):
+    """The (p, q) search by one ols fit per candidate, in grid order."""
+    regressors = ds.regressors
+    best = None
+    for p in range(1, max_p + 1):
+        for qs in itertools.product(range(max_q + 1),
+                                    repeat=len(regressors)):
+            spec = ArdlSpec(ds.dependent, regressors, p,
+                            dict(zip(regressors, qs)), det)
+            fit = _common_sample_fit(ds, spec, max_p, max_q)
+            crit = fit.aic if criterion == "AIC" else fit.sbc
+            key = (p + sum(qs), p, qs)
+            if best is None or crit < best[0] - 1e-9 or (
+                abs(crit - best[0]) <= 1e-9 and key < best[1]
+            ):
+                best = (crit, key, spec)
+    return best[2]
+
+
+def _chosen(search, ds, max_p, max_q, criterion, det):
+    """(p, q vector) of the search's choice, or the ardlkit error type."""
+    try:
+        spec = search(ds, max_p, max_q, criterion, det)
+    except ArdlkitError as exc:
+        return type(exc)
+    return spec.p, tuple(spec.q[x] for x in spec.regressors)
+
+
+def _select_lags(ds, max_p, max_q, criterion, det):
+    return select_lags(ds, max_p, max_q, criterion, det=det)
+
+
+def _exact(fit):
+    # the exact-fit rule of wald_f_test
+    return fit.rss <= 1e-13 * max(float(fit.y @ fit.y), 1.0)
+
+
+def _series(kind, T, seed):
+    if kind == "pair":
+        return generate(CointegratedPair(T=T, seed=seed))
+    if kind == "ardl":
+        return generate(ArdlProcess(T=T, seed=seed, theta=(1.0, 0.5)))
+    pair = generate(CointegratedPair(T=T, seed=seed))
+    w = generate(Ar1(T=T, seed=derive_seed(seed, 1)))["Y"].values
+    return make_dataset({"Y": pair["Y"].values, "X": pair["X"].values,
+                         "W": w}, "Y")
+
+
+def _degenerate(shape):
+    T = 60
+    t = np.arange(T, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    y, x = np.cumsum(rng.normal(size=T)), np.cumsum(rng.normal(size=T))
+    cols = {
+        "x-constant": {"Y": y, "X": np.full(T, 3.0)},
+        "x-equals-y": {"Y": y, "X": y.copy()},
+        "x-is-lagged-y": {"Y": y, "X": np.r_[0.0, y[:-1]]},
+        "x-affine-in-y": {"Y": y, "X": 2.0 * y + 1.0},
+        "x-trend": {"Y": y, "X": 1.0 + 0.5 * t},
+        "x-quadratic": {"Y": y, "X": 1.0 + 0.1 * t + 0.02 * t ** 2},
+        "x-alternating": {"Y": y, "X": (-1.0) ** t},
+        "x-period3": {"Y": y, "X": np.tile([1.0, 4.0, -2.0], T // 3)},
+        "y-quadratic": {"Y": 1.0 + 0.1 * t + 0.02 * t ** 2, "X": x},
+        "duplicate": {"Y": y, "X": x, "Z": 2.0 * x},
+        "short": {"Y": y[:8], "X": x[:8]},
+        "four-rows": {"Y": y[:4], "X": x[:4]},
+    }[shape]
+    return make_dataset(cols, "Y")
+
+
+class TestLagSelectionOracle:
+    """The one-factorization (p, q) search against a fit per candidate."""
+
+    @pytest.mark.parametrize("criterion", ["AIC", "SBC"])
+    @pytest.mark.parametrize("det", [Deterministic.CONSTANT,
+                                     Deterministic.CONSTANT_TREND])
+    @given(kind=st.sampled_from(["pair", "ardl", "two"]),
+           max_p=st.integers(1, 4), max_q=st.integers(0, 4),
+           T=st.integers(20, 300), seed=st.integers(0, 2**32 - 1))
+    @example(kind="two", max_p=4, max_q=4, T=20, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_same_choice_or_error(self, det, criterion, kind, max_p, max_q,
+                                  T, seed):
+        # T near 20 leaves too few rows for the largest lags and two
+        # regressors: both searches raise SampleTooShort there
+        ds = _series(kind, T, seed)
+        assert _chosen(_select_lags, ds, max_p, max_q, criterion, det) == \
+            _chosen(_oracle_select_lags, ds, max_p, max_q, criterion, det)
+
+    @pytest.mark.parametrize("criterion", ["AIC", "SBC"])
+    @pytest.mark.parametrize("det", [Deterministic.CONSTANT,
+                                     Deterministic.CONSTANT_TREND])
+    @pytest.mark.parametrize("shape", [
+        "x-constant", "x-equals-y", "x-is-lagged-y", "x-affine-in-y",
+        "x-trend", "x-quadratic", "x-alternating", "x-period3",
+        "y-quadratic", "duplicate", "short", "four-rows"])
+    def test_degenerate_inputs(self, shape, det, criterion):
+        ds = _degenerate(shape)
+        for max_p, max_q in [(1, 0), (2, 0), (1, 1), (1, 2), (2, 1),
+                             (2, 2), (3, 1), (4, 4)]:
+            got = _chosen(_select_lags, ds, max_p, max_q, criterion, det)
+            want = _chosen(_oracle_select_lags, ds, max_p, max_q, criterion,
+                           det)
+            if got == want:
+                continue
+            # only where exact fits tie up to rounding may the choices
+            # differ, and then the chosen candidate fits exactly too
+            assert isinstance(got, tuple) and isinstance(want, tuple)
+            for p, qs in (got, want):
+                spec = ArdlSpec("Y", ds.regressors, p,
+                                dict(zip(ds.regressors, qs)), det)
+                assert _exact(_common_sample_fit(ds, spec, max_p, max_q))
+
+    @pytest.mark.parametrize("scores, chosen", [
+        ({}, (1, (0, 0))),
+        # within 1e-9 of the best is a tie, which the smaller model wins
+        ({(1, (0, 0)): 0.0, (2, (1, 1)): -5e-10}, (1, (0, 0))),
+        ({(1, (0, 0)): 0.0, (2, (1, 1)): -2e-9}, (2, (1, 1))),
+        # then the smaller total lag count, before the smaller p
+        ({(2, (0, 0)): 0.0, (1, (1, 1)): -5e-10}, (2, (0, 0))),
+        # then the smaller p
+        ({(2, (1, 0)): 0.0, (1, (1, 1)): 5e-10}, (1, (1, 1))),
+        # then the q vector
+        ({(1, (1, 0)): 0.0, (1, (0, 1)): 5e-10}, (1, (0, 1))),
+    ])
+    def test_tie_rule(self, monkeypatch, scores, chosen):
+        # the criteria of every ARDL(p, q1, q2) with p <= 2, q <= 1; a
+        # candidate missing from ``scores`` scores 0.0 when scores is
+        # empty and 1.0 otherwise
+        grid = list(itertools.product(range(2), repeat=2))
+
+        def scorer(y, X, orderings):
+            assert len(orderings) == len(grid)
+            out = []
+            for qs, S in zip(grid, orderings):
+                crits = [(9.0, 9.0)] * (len(S) + 1)
+                for p in (1, 2):
+                    c = scores.get((p, qs), 1.0 if scores else 0.0)
+                    crits[len(S) - 2 + p] = (c, c)
+                out.append(crits)
+            return out
+
+        monkeypatch.setattr(ardlkit.ardl, "subset_criteria", scorer)
+        ds = _series("two", 60, 3)
+        for criterion in ("AIC", "SBC"):
+            spec = select_lags(ds, 2, 1, criterion)
+            assert (spec.p, (spec.q["X"], spec.q["W"])) == chosen
 
 
 class TestBounds:

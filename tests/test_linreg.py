@@ -14,6 +14,7 @@ from ardlkit import (
     nested_criteria,
     newey_west_lrv,
     ols,
+    subset_criteria,
     wald_f_test,
 )
 from ardlkit.errors import (
@@ -200,6 +201,41 @@ class TestNestedCriteria:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nested_criteria(np.ones(4), design(C=np.ones(5)))
+
+
+class TestSubsetCriteria:
+    def test_each_block_of_each_ordering_scores_as_its_own_fit(self, rng):
+        n = 50
+        cols = {"C": np.ones(n), "X1": rng.normal(size=n),
+                "X2": rng.normal(size=n), "X3": rng.normal(size=n),
+                "X4": np.cumsum(rng.normal(size=n))}
+        y = 1.0 + cols["X2"] + 0.3 * cols["X4"] + rng.normal(size=n)
+        names = list(cols)
+        orderings = [[0, 2, 1], [4, 3], [3, 1, 0, 4, 2], []]
+        scores = subset_criteria(y, design(**cols), orderings)
+        assert [len(s) for s in scores] == [4, 3, 6, 1]
+        for S, crits in zip(orderings, scores):
+            assert crits[0] == pytest.approx(scores[3][0], rel=1e-12)
+            for k in range(1, len(S) + 1):
+                fit = ols(y, design(**{names[j]: cols[names[j]]
+                                       for j in S[:k]}))
+                assert crits[k] == pytest.approx(information_criteria(fit),
+                                                 rel=1e-12)
+
+    def test_the_natural_ordering_is_nested_criteria(self, rng):
+        X = design(C=np.ones(30), X1=rng.normal(size=30),
+                   X2=rng.normal(size=30))
+        y = rng.normal(size=30)
+        (scores,) = subset_criteria(y, X, [[0, 1, 2]])
+        assert scores == pytest.approx(nested_criteria(y, X), rel=1e-12)
+
+    def test_collinear_superset_raises_as_ols_does(self, rng):
+        # the ordering leaves the duplicate out, but the superset is
+        # factored, and rank-checked, as a whole
+        x = rng.normal(size=20)
+        X = design(C=np.ones(20), X=x, X2=2.0 * x)
+        with pytest.raises(RankDeficient):
+            subset_criteria(rng.normal(size=20), X, [[0, 1]])
 
 
 def _fake_result(log_l, k, n):

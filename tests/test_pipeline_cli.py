@@ -160,9 +160,10 @@ class TestPipelineRun:
         assert calls["recursive_residuals"] == len(report.models) == 1
 
     def test_one_run_fit_count(self, monkeypatch):
-        # each ADF call scores its candidate lags from one factorization
-        # and fits only the chosen lag: 8 ADF, 8 PP and 13 ARDL-stage
-        # fits (165 when every candidate lag was fit)
+        # each ADF call and each ARDL (p, q) search scores its
+        # candidates from one factorization, and only the chosen ones
+        # are fit: 8 ADF, 8 PP and 7 ARDL-stage fits (165 when every
+        # candidate was fit, 29 when only the ADF search was not)
         calls = Counter()
         ols = ardlkit.linreg.ols
 
@@ -177,7 +178,7 @@ class TestPipelineRun:
         for mod in holders:
             monkeypatch.setattr(mod, "ols", counted)
         run_pipeline(load_config(DATA / "seed13_config.yaml"))
-        assert calls["ols"] == 29
+        assert calls["ols"] == 23
 
     def test_classification_is_the_tables_evidence(self, report):
         # unit_root: {test: ADF, spec: constant}
@@ -512,10 +513,13 @@ def _log_transform_as(transforms):
     (_model("max_p", 2.7), 2, "max_p"),
     (_model("max_q", True), 2, "max_q"),
     (_log_transform_as("log"), 2, "transforms"),
+    (_top("force", "false"), 2, "force"),
+    (_setting("diagnostics", "enabled", "no"), 2, "diagnostics.enabled"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
         "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
         "levels-text", "unit_root-alpha-text", "max_p-text",
-        "max_p-fraction", "max_q-bool", "transforms-string"])
+        "max_p-fraction", "max_q-bool", "transforms-string", "force-text",
+        "diagnostics-enabled-text"])
 def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")

@@ -17,7 +17,12 @@ from ardlkit import (
     pp_test,
 )
 from ardlkit.critvals import adf_critical_values
-from ardlkit.errors import ArdlkitError, RankDeficient, SampleTooShort
+from ardlkit.errors import (
+    ArdlkitError,
+    PerfectFitDegenerate,
+    RankDeficient,
+    SampleTooShort,
+)
 from ardlkit.unitroot import default_max_lag, _verdicts
 
 from conftest import make_series, oracle_ols
@@ -102,7 +107,8 @@ def _oracle_design(y, spec, k, start):
 
 def _oracle_adf(s, spec, max_lag, rule):
     """(lag, statistic) by one ols fit per candidate lag on the common
-    max-lag sample, then an ols refit of the chosen lag."""
+    max-lag sample, then an ols refit of the chosen lag; an exact refit
+    (the rule of wald_f_test) has no statistic."""
     y = s.values
     if max_lag is None:
         max_lag = default_max_lag(len(y))
@@ -113,7 +119,10 @@ def _oracle_adf(s, spec, max_lag, rule):
         if best is None or crit < best[0] - 1e-12:
             best = (crit, k)
     lag = best[1]
-    return lag, ols(*_oracle_design(y, spec, lag, lag + 1)).t_stats["Y(-1)"]
+    fit = ols(*_oracle_design(y, spec, lag, lag + 1))
+    if fit.rss <= 1e-13 * max(float(fit.y @ fit.y), 1.0):
+        raise PerfectFitDegenerate("exact fit")
+    return lag, fit.t_stats["Y(-1)"]
 
 
 def _adf_lag_and_statistic(s, spec, max_lag, rule):
@@ -145,6 +154,20 @@ def _simulated(kind, n, seed):
 
 # the smallest sample the default max_lag accepts: n >= max_lag + 10
 _DEFAULT_MIN_T = next(n for n in range(1, 100) if n >= default_max_lag(n) + 10)
+
+
+# (shape, spec, max_lag) rows of the degenerate-series table whose
+# chosen Dickey-Fuller regression fits exactly
+_EXACT_FITS = {
+    ("constant", "none", 0),
+    ("linear", "constant", 0),
+    ("quadratic", "none", 2),
+    ("quadratic", "constant_and_trend", 0),
+    ("alternating", "none", 0),
+    ("alternating", "constant", 0),
+    ("alternating", "constant_and_trend", 0),
+    ("period3", "none", 2),
+}
 
 
 class TestLagSelectionOracle:
@@ -195,8 +218,30 @@ class TestLagSelectionOracle:
                          "quadratic": 1.0 + 0.1 * t + 0.02 * t ** 2,
                          "alternating": (-1.0) ** t,
                          "period3": np.tile([1.0, 4.0, -2.0], 20)}[shape])
-        assert _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule) == \
-            _outcome(_oracle_adf, s, spec, max_lag, rule)
+        outcome = _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule)
+        assert outcome == _outcome(_oracle_adf, s, spec, max_lag, rule)
+        # these test regressions fit exactly: their t-ratio used to come
+        # out as NaN or about -1e16
+        assert (outcome == repr(PerfectFitDegenerate)) == (
+            (shape, spec.value, max_lag) in _EXACT_FITS)
+
+
+@pytest.mark.parametrize("shape, spec", [
+    ("constant", Deterministic.NONE),
+    ("alternating", Deterministic.NONE),
+    ("alternating", Deterministic.CONSTANT),
+    ("alternating", Deterministic.CONSTANT_TREND),
+])
+def test_exact_test_regression_has_no_statistic(shape, spec):
+    # the regression of a constant series on Y(-1) leaves RSS 0 and
+    # gave NaN; (-1)^t gave t-ratios near -1e16 (PP: ZeroDivisionError
+    # on the constant series)
+    s = make_series({"constant": np.full(60, 5.0),
+                     "alternating": (-1.0) ** np.arange(60.0)}[shape])
+    with pytest.raises(PerfectFitDegenerate):
+        adf_test(s, spec, max_lag=0)
+    with pytest.raises(PerfectFitDegenerate):
+        pp_test(s, spec)
 
 
 class TestCriticalValues:
