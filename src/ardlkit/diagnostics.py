@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     ConstantFitted,
     PerfectFitDegenerate,
-    RankDeficientPrefix,
     SampleTooShort,
     ZeroVariance,
 )
@@ -31,6 +30,7 @@ from .linreg import (
     TestStatistic,
     decisions_from_pvalue,
     ols,
+    prefix_residuals,
     wald_f_test,
 )
 
@@ -190,37 +190,29 @@ def breusch_pagan(rr: RegressionResult,
 
 
 def recursive_residuals(y, X: DesignMatrix) -> np.ndarray:
-    """Standardized one-step-ahead prediction errors.
+    """Standardized one-step-ahead prediction errors, n - k of them.
 
     Starting from the first k observations, each subsequent y is
     predicted from the fit so far; the errors are scaled so they are
-    iid N(0, sigma^2) under stability. Uses rank-one covariance updates.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    n, k = X.n, X.k
-    if n <= k + 2:
-        raise SampleTooShort(
-            f"recursive residuals need n > k + 2, got n={n}, k={k}"
-        )
-    x0 = X.matrix[:k]
-    xtx = x0.T @ x0
-    if np.linalg.matrix_rank(xtx) < k:
-        raise RankDeficientPrefix(
-            "first k observations do not identify the coefficients"
-        )
-    xtx_inv = np.linalg.inv(xtx)
-    beta = xtx_inv @ (x0.T @ y[:k])
+    iid N(0, sigma^2) under stability, and their squares add up to the
+    full-sample RSS. Computed from QR triangles of the growing prefixes
+    of [X y] by ``linreg.prefix_residuals``, after the first k rows pass
+    the rank check of ``ols``.
 
-    w = np.empty(n - k)
-    for t in range(k, n):
-        x_t = X.matrix[t]
-        err = y[t] - x_t @ beta
-        f_t = 1.0 + x_t @ xtx_inv @ x_t
-        w[t - k] = err / math.sqrt(f_t)
-        v = xtx_inv @ x_t
-        xtx_inv = xtx_inv - np.outer(v, v) / f_t
-        beta = beta + xtx_inv @ x_t * err
-    return w
+    Raises
+    ------
+    SampleTooShort
+        n <= k + 2: fewer than three residuals.
+    DimensionMismatch
+        y does not match the design's row count.
+    RankDeficientPrefix
+        The first k rows fail the rank check of ``ols``.
+    """
+    if X.n <= X.k + 2:
+        raise SampleTooShort(
+            f"recursive residuals need n > k + 2, got n={X.n}, k={X.k}"
+        )
+    return prefix_residuals(y, X)
 
 
 def cusum(rr: RegressionResult, X: DesignMatrix | None = None,

@@ -106,7 +106,9 @@ class ConstantFitted(NumericalError):
 
 
 class RankDeficientPrefix(NumericalError):
-    """Initial observations of a recursive fit are singular."""
+    """The first k observations of a recursive fit do not identify its k
+    coefficients: their pivoted-QR triangle fails the rank check of ols
+    (a diagonal below RANK_RTOL of the largest); names the columns."""
 
 
 class DegenerateAdjustment(NumericalError):

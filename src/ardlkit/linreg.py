@@ -12,7 +12,9 @@ sequential sums of squares of R's ``anova.lm``), and ``subset_criteria``
 scores the leading blocks of several column orderings of one superset
 design from that same QR, refactoring only the small triangle. Both
 read each RSS as a tail sum of an effects vector and score it by the
-same AIC/SBC formulas as ``ols`` results.
+same AIC/SBC formulas as ``ols`` results. Recursive residuals
+(``prefix_residuals``) come from the QR triangles of the growing row
+prefixes of [X | y], batched a block of prefixes at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     PerfectFitDegenerate,
     RankDeficient,
+    RankDeficientPrefix,
     SampleTooShort,
     UnknownCoefficient,
 )
@@ -38,6 +41,13 @@ from .errors import (
 RANK_RTOL = 1e-10
 EXACT_FIT_RTOL = 1e-13
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
+
+# Rows per batched QR in prefix_residuals. For k 4-5 on about 300 rows
+# (one BLAS thread, x86-64 Xeon), blocks of 16 to 48 rows timed within 7%
+# of each other and 64 rows 30% slower. Row i of the mask keeps a block's
+# first i rows.
+_PREFIX_BLOCK = 48
+_PREFIX_MASK = np.tri(_PREFIX_BLOCK + 1, _PREFIX_BLOCK, -1)[:, :, None]
 
 CONST_NAME = "C"
 TREND_NAME = "TREND"
@@ -299,6 +309,54 @@ def _check_rank(R: np.ndarray, piv: np.ndarray, names) -> None:
     deficient = np.flatnonzero(diag < RANK_RTOL * diag[0])
     if deficient.size:
         raise RankDeficient(tuple(names[piv[i]] for i in deficient))
+
+
+def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
+    """Recursive residuals of y on X: for t = k..n-1, the error of
+    predicting y_t from the fit on rows 0..t-1, scaled by
+    sqrt(1 + x_t'(X'X)^{-1}_{t-1} x_t) (Brown, Durbin & Evans 1975).
+
+    Every step is a QR (Bjorck, Numerical Methods for Least Squares
+    Problems, 3.2). The first k rows get the rank check of ``ols``; the
+    triangle [R z] of their [X y] then grows by blocks of _PREFIX_BLOCK
+    rows, one batched QR per block giving each prefix triangle in it. With
+    u = R_{t-1}^{-T} x_t, w_t = (y_t - u'z_{t-1}) / sqrt(1 + u'u), and the
+    squared w add up to the RSS of the full fit.
+
+    Raises
+    ------
+    DimensionMismatch
+        y does not match the design's row count.
+    RankDeficientPrefix
+        The first k rows fail the rank check of ``ols``.
+    """
+    y = _dependent(y, X)
+    n, k = X.n, X.k
+    R, piv = sla.qr(X.matrix[:k], mode="r", pivoting=True)
+    try:
+        _check_rank(R, piv, X.names)
+    except RankDeficient as exc:
+        raise RankDeficientPrefix(
+            f"first {k} observations do not identify the coefficients: {exc}"
+        ) from exc
+    A = np.column_stack([X.matrix, y])
+    T = np.linalg.qr(A[:k], mode="r")
+    w = np.empty(n - k)
+    for s in range(k, n, _PREFIX_BLOCK):
+        B = A[s:s + _PREFIX_BLOCK]
+        m, r = B.shape[0], T.shape[0]
+        # stack j holds [R z] and the block's first j rows
+        S = np.zeros((m + 1, r + m, k + 1))
+        S[:, :r] = T
+        S[:, r:] = _PREFIX_MASK[:m + 1, :m] * B
+        Rs = np.linalg.qr(S, mode="r")
+        u = np.linalg.solve(np.swapaxes(Rs[:m, :k, :k], 1, 2),
+                            B[:, :k, None])[..., 0]
+        z = Rs[:m, :k, k]
+        w[s - k:s - k + m] = ((B[:, k] - np.einsum("ti,ti->t", u, z))
+                              / np.sqrt(1.0 + np.einsum("ti,ti->t", u, u)))
+        T = Rs[m]
+    return w
 
 
 def _log_likelihood(rss: float, n: int) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from ardlkit import (
     BreakModel,
@@ -20,12 +21,13 @@ from ardlkit import (
 from ardlkit.errors import (
     ConfigError,
     ConstantFitted,
+    DimensionMismatch,
     RankDeficientPrefix,
     SampleTooShort,
     ZeroVariance,
 )
 from ardlkit.linreg import TestStatistic as StatResult
-from ardlkit.linreg import decisions_from_pvalue
+from ardlkit.linreg import _PREFIX_BLOCK, RANK_RTOL, decisions_from_pvalue
 from ardlkit.simgen import gaussian_stream
 
 
@@ -163,6 +165,45 @@ class TestBreuschPagan:
             breusch_pagan(rr)
 
 
+def oracle_recursive_residuals(y, X):
+    """Recursive residuals by an independent fit of every prefix: the
+    coefficients of rows 0..t-1 by lstsq, the variance factor
+    x_t'(X'X)^{-1}x_t as |R^{-T} x_t|^2 from that prefix's own QR."""
+    n, k = X.shape
+    w = np.empty(n - k)
+    for t in range(k, n):
+        beta = np.linalg.lstsq(X[:t], y[:t], rcond=None)[0]
+        u = sla.solve_triangular(np.linalg.qr(X[:t], mode="r"), X[t],
+                                 trans="T")
+        w[t - k] = (y[t] - X[t] @ beta) / math.sqrt(1.0 + u @ u)
+    return w
+
+
+def recursive_design(kind, k, n, seed):
+    """k columns: a constant, a constant and a trend, or none of them,
+    filled up with random walks and white noise."""
+    rng = np.random.default_rng(seed)
+    det = {"C": [np.ones(n)],
+           "C+TREND": [np.ones(n), np.arange(1.0, n + 1)],
+           "none": []}[kind]
+    free = [rng.standard_normal(n).cumsum() if j % 2 else
+            rng.standard_normal(n) for j in range(k - len(det))]
+    cols = det + free
+    X = DesignMatrix(tuple(f"X{j}" for j in range(k)), np.column_stack(cols))
+    y = X.matrix @ rng.standard_normal(k) + rng.standard_normal(n)
+    return y, X
+
+
+def prefix_fails_rank_check(X):
+    """The pivoted-QR rank check of ols on the first k rows."""
+    R = sla.qr(X.matrix[:X.k], mode="r", pivoting=True)[0]
+    diag = np.abs(np.diag(R))
+    return diag[0] == 0.0 or bool(np.any(diag < RANK_RTOL * diag[0]))
+
+
+BLOCK = _PREFIX_BLOCK
+
+
 class TestRecursiveResiduals:
     def test_sum_of_squares_equals_full_rss(self):
         # classical identity: the squared recursive residuals add up to
@@ -172,7 +213,78 @@ class TestRecursiveResiduals:
         x = z[:n]
         rr = fit(1.0 + x + z[n:], C=np.ones(n), X=x)
         w = recursive_residuals(rr.y, rr.design)
-        assert float(w @ w) == pytest.approx(rr.rss, rel=1e-10)
+        assert float(w @ w) == pytest.approx(rr.rss, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                   400])
+    @pytest.mark.parametrize("kind, k", [
+        (kind, k) for kind in ("C", "C+TREND", "none") for k in range(1, 7)
+        if kind != "C+TREND" or k >= 2])
+    def test_matches_a_fit_of_every_prefix(self, kind, k, m):
+        # m = n - k residuals; the block edges are where prefixes pass
+        # from one batched QR to the next
+        y, X = recursive_design(kind, k, k + m, seed=100 * k + m)
+        w = recursive_residuals(y, X)
+        ref = oracle_recursive_residuals(y, X.matrix)
+        scale = np.max(np.abs(ref))
+        assert w.shape == (m,)
+        assert np.max(np.abs(w - ref)) <= 1e-10 * scale
+        clear = np.abs(ref) > 1e-10 * scale
+        assert np.array_equal(np.sign(w[clear]), np.sign(ref[clear]))
+        assert float(w @ w) == pytest.approx(ols(y, X).rss, rel=1e-12)
+
+    @pytest.mark.parametrize("cond", [1e7, 6.2e7, 1e8, 1e9])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ill_conditioned_full_rank_start(self, k, cond):
+        # the first k rows nearly repeat one column in another; the
+        # rest of the sample is well conditioned
+        y, X = recursive_design("C", k, 200, seed=k)
+        mat = X.matrix.copy()
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            mat[:k, -1] = mat[:k, -2] * (1.0 + mid * np.arange(k))
+            if np.linalg.cond(mat[:k]) > cond:
+                lo = mid
+            else:
+                hi = mid
+        X = DesignMatrix(X.names, mat)
+        assert np.linalg.cond(X.matrix[:k]) == pytest.approx(cond, rel=0.01)
+        w = recursive_residuals(y, X)
+        assert np.all(np.isfinite(w))
+        assert float(w @ w) == pytest.approx(ols(y, X).rss, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rank_deficient_prefix_exactly_when_the_check_fails(self, k):
+        y, X = recursive_design("C", k, 60, seed=7 + k)
+        outcomes = set()
+        for eps in [0.0, *np.logspace(-14, -7, 29)]:
+            mat = X.matrix.copy()
+            mat[:k, -1] = 2.0 * mat[:k, 0] + eps * np.arange(k)
+            Xe = DesignMatrix(X.names, mat)
+            fails = prefix_fails_rank_check(Xe)
+            outcomes.add(fails)
+            if fails:
+                with pytest.raises(RankDeficientPrefix):
+                    recursive_residuals(y, Xe)
+            else:
+                assert np.all(np.isfinite(recursive_residuals(y, Xe)))
+        assert outcomes == {True, False}
+
+    def test_singular_prefix(self):
+        x = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        X = DesignMatrix.from_columns({"C": np.ones(8), "X": x})
+        with pytest.raises(RankDeficientPrefix):
+            recursive_residuals(np.arange(8.0) + 0.5, X)
+
+    @pytest.mark.parametrize("y", [np.arange(10.0), np.arange(6.0),
+                                   np.ones((8, 1))],
+                             ids=["two-rows-long", "two-rows-short", "2-d"])
+    def test_dependent_must_match_the_design(self, y):
+        X = DesignMatrix.from_columns({"C": np.ones(8),
+                                       "X": np.arange(8.0) ** 2})
+        with pytest.raises(DimensionMismatch):
+            recursive_residuals(y, X)
 
     def test_half_sample_orthogonality(self):
         ds = generate(BreakModel(T=200, seed=43, break_point=100,
@@ -182,12 +294,6 @@ class TestRecursiveResiduals:
         half = len(w) // 2
         corr = np.corrcoef(w[:half], w[half:2 * half])[0, 1]
         assert abs(corr) <= 0.1
-
-    def test_singular_prefix(self):
-        x = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        X = DesignMatrix.from_columns({"C": np.ones(8), "X": x})
-        with pytest.raises(RankDeficientPrefix):
-            recursive_residuals(np.arange(8.0) + 0.5, X)
 
     def test_sample_floor(self):
         X = DesignMatrix.from_columns({"C": np.ones(4),
