@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .critvals import pss_bounds
 from .dataio import Dataset
@@ -433,6 +433,7 @@ def coefficient_pvalues(fit: RegressionResult) -> dict[str, float]:
     """Two-sided t-distribution p-values for every coefficient."""
     df = fit.n - fit.k
     return {
-        name: float(2.0 * stats.t.sf(abs(t), df)) if math.isfinite(t) else math.nan
+        name: (float(2.0 * special.stdtr(df, -abs(t)))
+               if math.isfinite(t) else math.nan)
         for name, t in fit.t_stats.items()
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -100,15 +101,15 @@ def _cmd_pipeline(args) -> int:
         cfg = dataclasses.replace(cfg, force=True)
     if args.output:
         cfg = dataclasses.replace(cfg, json_path=args.output)
-    result = run_pipeline(cfg)
+    payload = report_mod.to_payload(run_pipeline(cfg))
+    # each format is rendered once, whichever outputs ask for it
+    render = functools.cache(
+        lambda fmt: report_mod.render_payload(payload, fmt))
     if cfg.json_path:
-        Path(cfg.json_path).write_bytes(
-            report_mod.render_report(result, "json"))
+        Path(cfg.json_path).write_bytes(render("json"))
     if cfg.text_path:
-        Path(cfg.text_path).write_bytes(
-            report_mod.render_report(result, "text"))
-    sys.stdout.write(
-        report_mod.render_report(result, args.format).decode("utf-8"))
+        Path(cfg.text_path).write_bytes(render("text"))
+    sys.stdout.write(render(args.format).decode("utf-8"))
     return EXIT_OK
 
 

@@ -21,16 +21,18 @@ ADF_SURFACE_FILE = "adf_response_surface.txt"
 PSS_BOUNDS_FILE = "pss_bounds.txt"
 CUSUMSQ_FILE = "cusumsq_c0.txt"
 
+_PACKAGE_DATA_DIR = Path(__file__).resolve().parent / "data"
+
 
 def data_dir() -> Path:
+    """ARDLKIT_DATA_DIR, read on every call, or else the package's own
+    data directory, resolved once at import."""
     override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
+    return Path(override) if override else _PACKAGE_DATA_DIR
 
 
-def _read_rows(filename: str) -> list[list[str]]:
-    path = data_dir() / filename
+def _read_rows(dirpath: str, filename: str) -> list[list[str]]:
+    path = Path(dirpath) / filename
     if not path.exists():
         raise ConfigError(f"critical-value table not found: {path}")
     rows = []
@@ -45,7 +47,7 @@ def _read_rows(filename: str) -> list[list[str]]:
 @lru_cache(maxsize=None)
 def _adf_surface(dirpath: str) -> dict[tuple[str, float], tuple[float, ...]]:
     table = {}
-    for spec, level, *coefs in _read_rows(ADF_SURFACE_FILE):
+    for spec, level, *coefs in _read_rows(dirpath, ADF_SURFACE_FILE):
         table[(spec, float(level))] = tuple(float(c) for c in coefs)
     return table
 
@@ -74,7 +76,7 @@ def adf_critical_values(spec: str, nobs: int) -> dict[float, float]:
 @lru_cache(maxsize=None)
 def _pss_table(dirpath: str) -> dict[tuple[str, int, float], tuple[float, float]]:
     table = {}
-    for case, k, level, lower, upper in _read_rows(PSS_BOUNDS_FILE):
+    for case, k, level, lower, upper in _read_rows(dirpath, PSS_BOUNDS_FILE):
         table[(case, int(k), float(level))] = (float(lower), float(upper))
     return table
 
@@ -96,7 +98,8 @@ def pss_bounds(case: str, k: int) -> dict[float, tuple[float, float]]:
 
 @lru_cache(maxsize=None)
 def _cusumsq_table(dirpath: str) -> list[tuple[int, float]]:
-    rows = [(int(n), float(c0)) for n, c0 in _read_rows(CUSUMSQ_FILE)]
+    rows = [(int(n), float(c0))
+            for n, c0 in _read_rows(dirpath, CUSUMSQ_FILE)]
     return sorted(rows)
 
 

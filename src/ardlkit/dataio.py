@@ -9,6 +9,7 @@ construction and every transform returns a new object.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +36,10 @@ class Frequency(str, Enum):
 
     @property
     def periods_per_year(self) -> int:
-        return {"monthly": 12, "quarterly": 4, "annual": 1}[self.value]
+        return _PERIODS_PER_YEAR[self._value_]
 
+
+_PERIODS_PER_YEAR = {"monthly": 12, "quarterly": 4, "annual": 1}
 
 _FORMAT_FREQ = {
     "YYYY-MM": Frequency.MONTHLY,
@@ -96,6 +99,14 @@ def period_ordinal(period: Period, frequency: Frequency) -> int:
     return year * frequency.periods_per_year + (sub - 1)
 
 
+def _ordinals(index, frequency: Frequency) -> np.ndarray:
+    """period_ordinal of every stamp of an index, in one pass."""
+    flat = np.fromiter(itertools.chain.from_iterable(index), dtype=np.int64)
+    if flat.size != 2 * len(index):
+        raise ValueError("every period stamp must be a (year, sub) pair")
+    return flat[0::2] * frequency.periods_per_year + (flat[1::2] - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A named, date-indexed vector of real observations.
@@ -125,13 +136,14 @@ class TimeSeries:
             raise ValueError(
                 f"series {self.name!r}: non-finite value at position {bad}"
             )
-        ords = [period_ordinal(p, self.frequency) for p in self.index]
-        for i in range(1, len(ords)):
-            if ords[i] != ords[i - 1] + 1:
-                raise NonMonotoneIndex(
-                    f"series {self.name!r}: index not contiguous at "
-                    f"{format_period(self.index[i], self.frequency)}"
-                )
+        ords = _ordinals(self.index, self.frequency)
+        gaps = np.flatnonzero(np.diff(ords) != 1)
+        if gaps.size:
+            i = int(gaps[0]) + 1
+            raise NonMonotoneIndex(
+                f"series {self.name!r}: index not contiguous at "
+                f"{format_period(self.index[i], self.frequency)}"
+            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -310,13 +322,13 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
     if not rows:
         raise ParseError(2, cfg.date_column, "no data rows")
 
-    ords = [period_ordinal(p, frequency) for p in periods]
-    for i in range(1, len(ords)):
-        if ords[i] <= ords[i - 1]:
-            raise NonMonotoneIndex(
-                f"date {format_period(periods[i], frequency)} at data row "
-                f"{i + 1} does not follow {format_period(periods[i - 1], frequency)}"
-            )
+    steps = np.flatnonzero(np.diff(_ordinals(periods, frequency)) <= 0)
+    if steps.size:
+        i = int(steps[0]) + 1
+        raise NonMonotoneIndex(
+            f"date {format_period(periods[i], frequency)} at data row "
+            f"{i + 1} does not follow {format_period(periods[i - 1], frequency)}"
+        )
 
     data = np.asarray(rows, dtype=np.float64)
     holes = np.isnan(data)

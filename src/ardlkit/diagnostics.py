@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .critvals import cusumsq_c0
 from .errors import (
@@ -94,7 +94,7 @@ def breusch_godfrey(rr: RegressionResult, X: DesignMatrix | None = None,
         cols[f"RESID(-{j})"] = lagged
     aux = ols(e, DesignMatrix.from_columns(cols))
     lm = n * aux.r_squared
-    p = float(stats.chi2.sf(lm, lags))
+    p = float(special.chdtrc(lags, lm))
     return TestStatistic(
         name="breusch_godfrey",
         statistic=float(lm),
@@ -154,7 +154,7 @@ def jarque_bera(residuals) -> TestStatistic:
     skew = float(np.mean(d**3)) / m2**1.5
     kurt = float(np.mean(d**4)) / m2**2
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
-    p = float(stats.chi2.sf(jb, 2))
+    p = float(special.chdtrc(2, jb))
     return TestStatistic(
         name="jarque_bera",
         statistic=float(jb),
@@ -179,7 +179,7 @@ def breusch_pagan(rr: RegressionResult,
     e2 = rr.residuals**2
     aux = ols(e2, X)
     lm = len(e2) * aux.r_squared
-    p = float(stats.chi2.sf(lm, df))
+    p = float(special.chdtrc(df, lm))
     return TestStatistic(
         name="breusch_pagan",
         statistic=float(lm),
@@ -251,11 +251,11 @@ def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
     if alpha != 0.05:
         raise ConfigError("CUSUMSQ offsets are tabulated at 5% only")
     m = w.shape[0]
-    w2 = w**2
-    total = float(w2.sum())
-    if total == 0.0:
+    # divided by its own last point, so the path ends at exactly 1
+    cum = np.cumsum(w**2)
+    if cum[-1] == 0.0:
         raise ZeroVariance("all recursive residuals are zero")
-    path = np.cumsum(w2) / total
+    path = cum / cum[-1]
     expected = np.arange(1, m + 1) / m
     c0 = cusumsq_c0(m)
     upper = expected + c0

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
+from scipy import special
+from scipy.linalg import lapack
 
 from .errors import (
     AllZeroResiduals,
@@ -211,16 +212,19 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     RankDeficient
         A pivoted diagonal of R falls below 1e-10 of the largest column
         norm; the error names the offending columns.
+    ValueError
+        X or y holds a NaN or an infinity.
     """
     y = _dependent(y, X)
     n, k = X.n, X.k
 
     Q, R, piv = sla.qr(X.matrix, mode="economic", pivoting=True)
     _check_rank(R, piv, X.names)
+    # y is checked after X, so a collinear design is reported first
+    y = np.asarray_chkfinite(y)
+    unpiv = np.argsort(piv)
 
-    beta_piv = sla.solve_triangular(R, Q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
+    beta = _solve_upper(R, Q.T @ y)[unpiv]
 
     fitted = X.matrix @ beta
     residuals = y - fitted
@@ -228,10 +232,8 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     df = n - k
     sigma2 = rss / df
 
-    r_inv = sla.solve_triangular(R, np.eye(k))
-    xtx_inv_piv = r_inv @ r_inv.T
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
+    r_inv = _solve_upper(R, np.eye(k))
+    xtx_inv = (r_inv @ r_inv.T)[unpiv[:, None], unpiv]
     cov = sigma2 * xtx_inv
     cov = (cov + cov.T) / 2.0
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -269,12 +271,12 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
         dw = math.nan
     log_l = _log_likelihood(rss, n)
 
-    names = X.names
+    names, beta_f, se_f = X.names, beta.tolist(), se.tolist()
     return RegressionResult(
-        coefficients={nm: float(b) for nm, b in zip(names, beta)},
-        std_errors={nm: float(s) for nm, s in zip(names, se)},
-        t_stats={nm: (float(b / s) if s > 0.0 else math.nan)
-                 for nm, b, s in zip(names, beta, se)},
+        coefficients=dict(zip(names, beta_f)),
+        std_errors=dict(zip(names, se_f)),
+        t_stats={nm: (b / s if s > 0.0 else math.nan)
+                 for nm, b, s in zip(names, beta_f, se_f)},
         residuals=residuals,
         fitted=fitted,
         r_squared=r2,
@@ -298,6 +300,19 @@ def _dependent(y, X: DesignMatrix) -> np.ndarray:
             f"y has shape {y.shape}, design has {X.n} rows"
         )
     return y
+
+
+def _solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """R^-1 b for the C-ordered upper triangle R of ``sla.qr``: LAPACK
+    trtrs on R.T (Fortran-ordered), lower and transposed, the call that
+    ``sla.solve_triangular(R, b)`` makes, without its input checks."""
+    x, info = lapack.dtrtrs(R.T, b, lower=1, trans=1)
+    if info > 0:
+        raise sla.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of trtrs")
+    return x
 
 
 def _check_rank(R: np.ndarray, piv: np.ndarray, names) -> None:
@@ -413,6 +428,8 @@ def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
     RankDeficient
         X fails the rank check of ``ols``; its leading blocks are then
         not all estimable.
+    ValueError
+        X or y holds a NaN or an infinity.
     """
     return _tail_criteria(_effects_triangle(y, X), X.n)
 
@@ -487,7 +504,7 @@ def wald_f_test(rr: RegressionResult, restricted_names,
             p_value=None,
             decision_at={},
         )
-    p = float(stats.f.sf(f_stat, q, df))
+    p = float(special.fdtrc(q, df, f_stat))
     return TestStatistic(
         name=f"F({', '.join(restricted)} = 0)",
         statistic=float(f_stat),

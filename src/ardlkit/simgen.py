@@ -13,7 +13,8 @@ independent streams and can run in any order or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -47,7 +48,10 @@ def _ar_filter(innovations: np.ndarray, ar_coefs) -> np.ndarray:
     return lfilter([1.0], denom, innovations)
 
 
+@lru_cache(maxsize=64)
 def _monthly_index(n: int) -> tuple[tuple[int, int], ...]:
+    """The n-month calendar from _START_PERIOD, built once per length
+    (the 64 lengths used last are kept)."""
     year, month = _START_PERIOD
     out = []
     for i in range(n):

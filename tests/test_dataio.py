@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from ardlkit import (
     Dataset,
+    Frequency,
     IngestionConfig,
+    TimeSeries,
     difference,
     lag,
     load_csv,
     log_transform,
     save_csv,
 )
+from ardlkit.dataio import format_period
 from ardlkit.errors import (
     MissingValuePolicyViolation,
     NonMonotoneIndex,
@@ -126,6 +129,65 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(series={"A": a, "B": b},
                     roles={"A": "dependent", "B": "regressor"})
+
+
+# One good run of six stamps per frequency, and faults that make stamp 3
+# the first bad one (the gap has a second fault after it): the error
+# must name stamp 3.
+_STAMPS = {
+    Frequency.MONTHLY: ([(2000, 11), (2000, 12), (2001, 1), (2001, 2),
+                         (2001, 3), (2001, 4)], "YYYY-MM"),
+    Frequency.QUARTERLY: ([(2000, 3), (2000, 4), (2001, 1), (2001, 2),
+                           (2001, 3), (2001, 4)], "YYYY-Qq"),
+    Frequency.ANNUAL: ([(1998, 1), (1999, 1), (2000, 1), (2001, 1),
+                        (2002, 1), (2003, 1)], "YYYY"),
+}
+_FAULTS = {
+    # stamp 3 skips one period, stamp 5 another
+    "gap": lambda ix: ix[:3] + ix[4:5] + [ix[5], ix[5]],
+    # stamp 3 repeats stamp 2
+    "duplicate": lambda ix: ix[:3] + [ix[2]] + ix[3:5],
+    # stamp 3 steps back to stamp 1
+    "backwards": lambda ix: ix[:3] + [ix[1]] + ix[2:4],
+}
+
+
+def _faulty(freq, fault):
+    good, fmt = _STAMPS[freq]
+    index = _FAULTS[fault](list(good))
+    assert len(index) == len(good)
+    return good, index, fmt
+
+
+class TestIndexChecks:
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
+    def test_series_names_the_first_bad_stamp(self, freq, fault):
+        good, index, _ = _faulty(freq, fault)
+        TimeSeries("Y", freq, tuple(good), np.arange(6.0))
+        bad = format_period(index[3], freq)
+        with pytest.raises(NonMonotoneIndex,
+                           match=f"'Y': index not contiguous at {bad}$"):
+            TimeSeries("Y", freq, tuple(index), np.arange(6.0))
+
+    @pytest.mark.parametrize("fault", ["duplicate", "backwards"])
+    @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
+    def test_csv_names_the_first_stamp_out_of_order(self, tmp_path, freq,
+                                                    fault):
+        _, index, fmt = _faulty(freq, fault)
+        lines = [f"{format_period(p, freq)},{i}.0"
+                 for i, p in enumerate(index)]
+        p = write(tmp_path, "date,op\n" + "\n".join(lines) + "\n")
+        bad, prev = (format_period(index[i], freq) for i in (3, 2))
+        with pytest.raises(NonMonotoneIndex,
+                           match=f"^date {bad} at data row 4 does not "
+                                 f"follow {prev}$"):
+            load_csv(p, IngestionConfig(date_format=fmt))
+
+    def test_stamps_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pair"):
+            TimeSeries("Y", Frequency.ANNUAL, ((2000, 1), (2001, 1, 1)),
+                       np.zeros(2))
 
 
 class TestTransforms:

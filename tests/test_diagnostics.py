@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy import stats
 
 from ardlkit import (
     BreakModel,
     DesignMatrix,
     breusch_godfrey,
     breusch_pagan,
+    coefficient_pvalues,
     cusum,
     cusumsq,
     generate,
@@ -17,6 +19,7 @@ from ardlkit import (
     ramsey_reset,
     recursive_residuals,
     run_battery,
+    wald_f_test,
 )
 from ardlkit.errors import (
     ConfigError,
@@ -27,6 +30,7 @@ from ardlkit.errors import (
     ZeroVariance,
 )
 from ardlkit.linreg import TestStatistic as StatResult
+from ardlkit.diagnostics import _cusumsq
 from ardlkit.linreg import _PREFIX_BLOCK, RANK_RTOL, decisions_from_pvalue
 from ardlkit.simgen import gaussian_stream
 
@@ -335,6 +339,17 @@ class TestStability:
         assert res.upper_bound[-1] == pytest.approx(3 * 0.948 * math.sqrt(m),
                                                     rel=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 7, 8, 9, 50, 129, 300, 1000])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e120])
+    def test_cusumsq_path_ends_at_exactly_one(self, m, scale):
+        # the share of the squares seen so far is 1 by definition at the
+        # end, whatever order the sum of all squares would add them in
+        z = gaussian_stream(m, m)
+        for w in (scale * z, scale * np.abs(z) ** 3, scale * np.exp(3 * z)):
+            path = _cusumsq(w, 0.05).path
+            assert path[-1] == 1.0
+            assert np.all(np.diff(path) >= 0.0)
+
     def test_cusumsq_alpha_restricted(self):
         with pytest.raises(ConfigError):
             cusumsq(self.stable_fit(), alpha=0.10)
@@ -368,3 +383,45 @@ class TestBattery:
         assert report.normality is not None
         assert report.serial_correlation is None
         assert report.cusum is None
+
+
+class TestPValues:
+    """Every p-value equals the scipy.stats survival function of its
+    statistic and reference distribution, to the last bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pvalues_match_scipy_stats(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 300))
+        k = int(rng.integers(1, 5))
+        cols = {"C": np.ones(n)}
+        for j in range(k):
+            cols[f"X{j}"] = rng.standard_normal(n)
+        beta = rng.standard_normal(k + 1) * rng.choice([0.0, 0.05, 1.0, 5.0],
+                                                         size=k + 1)
+        noise = rng.standard_t(int(rng.integers(2, 30)), size=n)
+        rr = fit(np.column_stack(list(cols.values())) @ beta + noise,
+                 **cols)
+        df = n - rr.k
+
+        pvals = coefficient_pvalues(rr)
+        for name, t in rr.t_stats.items():
+            assert pvals[name] == float(2.0 * stats.t.sf(abs(t), df))
+
+        restricted = [f"X{j}" for j in range(int(rng.integers(1, k + 1)))]
+        f = wald_f_test(rr, restricted)
+        assert f.p_value == float(stats.f.sf(f.statistic, len(restricted),
+                                             df))
+
+        lags = int(rng.integers(1, 4))
+        for test, dof in ((breusch_godfrey(rr, lags=lags), lags),
+                          (jarque_bera(rr.residuals), 2),
+                          (breusch_pagan(rr), k)):
+            assert test.p_value == float(stats.chi2.sf(test.statistic, dof))
+
+    @pytest.mark.parametrize("tail", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_jarque_bera_tails_match_scipy_stats(self, tail):
+        # from normal to very heavy tails: JB from 2.3 to 1.8e6
+        z = gaussian_stream(91, 400)
+        jb = jarque_bera(np.sign(z) * np.abs(z) ** (1.0 + tail))
+        assert jb.p_value == float(stats.chi2.sf(jb.statistic, 2))

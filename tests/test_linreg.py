@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 from ardlkit import (
     DesignMatrix,
@@ -25,6 +26,7 @@ from ardlkit.errors import (
     RankDeficient,
     UnknownCoefficient,
 )
+from ardlkit.linreg import _solve_upper
 
 from conftest import oracle_ols
 
@@ -236,6 +238,49 @@ class TestSubsetCriteria:
         X = design(C=np.ones(20), X=x, X2=2.0 * x)
         with pytest.raises(RankDeficient):
             subset_criteria(rng.normal(size=20), X, [[0, 1]])
+
+
+_FITS = {
+    "ols": ols,
+    "nested_criteria": nested_criteria,
+    "subset_criteria": lambda y, X: subset_criteria(y, X, [[0, 1]]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("name", sorted(_FITS))
+def test_non_finite_input_raises_value_error(rng, name, where, bad):
+    X = design(C=np.ones(20), X1=rng.normal(size=20), X2=rng.normal(size=20))
+    y = rng.normal(size=20)
+    if where == "X":
+        matrix = X.matrix.copy()
+        matrix[7, 1] = bad
+        X = DesignMatrix(X.names, matrix)
+    else:
+        y[7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _FITS[name](y, X)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_triangular_solves_are_solve_triangulars(rng, k):
+    # ols calls LAPACK trtrs itself, the way solve_triangular does, so
+    # its coefficients and covariance keep their bits
+    for n in (k + 1, 40, 300):
+        X = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, k)
+        Q, R, _ = sla.qr(X, mode="economic", pivoting=True)
+        for b in (Q.T @ rng.standard_normal(n), np.eye(k)):
+            assert np.array_equal(_solve_upper(R, b),
+                                  sla.solve_triangular(R, b))
+
+
+def test_collinear_design_is_reported_before_a_non_finite_y(rng):
+    x = rng.normal(size=20)
+    y = rng.normal(size=20)
+    y[3] = math.nan
+    with pytest.raises(RankDeficient):
+        ols(y, design(C=np.ones(20), X=x, X2=2.0 * x))
 
 
 def _fake_result(log_l, k, n):

@@ -12,6 +12,7 @@ import yaml
 import ardlkit.diagnostics
 import ardlkit.linreg
 import ardlkit.pipeline
+import ardlkit.report
 import ardlkit.unitroot
 from ardlkit import (
     Deterministic,
@@ -249,6 +250,11 @@ class TestPipelineRun:
                 assert (abs(mp(serialized) - exact)
                         <= unit / 2 + 1e-13 * exact), distribution
 
+    def test_cusumsq_path_ends_at_exactly_one(self, report):
+        assert report.models[0].diagnostics.cusumsq.path[-1] == 1.0
+        cusumsq = to_payload(report)["models"][0]["diagnostics"]["cusumsq"]
+        assert cusumsq["max_path"] == 1.0
+
     def test_json_rendering_deterministic(self, report):
         assert render_report(report, "json") == render_report(report, "json")
 
@@ -324,6 +330,41 @@ class TestDataDirOverride:
 
         assert critvals.pss_bounds("III", 1)[0.05] == (4.94, 5.73)
 
+    def test_override_set_after_import_redirects_every_table(
+            self, tmp_path, monkeypatch):
+        # a copy of the shipped tables with one value changed in each
+        from ardlkit import critvals
+
+        shipped = Path(critvals.__file__).parent / "data"
+        edits = {
+            critvals.ADF_SURFACE_FILE: ("constant 0.05 -2.86154",
+                                        "constant 0.05 -2.50000"),
+            critvals.PSS_BOUNDS_FILE: ("III 1 0.05 4.94 5.73",
+                                       "III 1 0.05 4.00 5.00"),
+            critvals.CUSUMSQ_FILE: ("\n48 0.25233", "\n48 0.25000"),
+        }
+        for name, (old, new) in edits.items():
+            text = (shipped / name).read_text(encoding="utf-8")
+            assert text.count(old) == 1
+            (tmp_path / name).write_text(text.replace(old, new),
+                                         encoding="utf-8")
+        before = (critvals.adf_critical_values("constant", 100)[0.05],
+                  critvals.pss_bounds("III", 1), critvals.cusumsq_c0(48))
+
+        monkeypatch.setenv(critvals.DATA_DIR_ENV, str(tmp_path))
+        cv = critvals.adf_critical_values("constant", 100)
+        assert cv[0.05] - before[0] == pytest.approx(2.86154 - 2.5)
+        assert cv[0.01] == critvals.adf_critical_values("constant", 100)[0.01]
+        bounds = critvals.pss_bounds("III", 1)
+        assert bounds[0.05] == (4.0, 5.0)
+        assert bounds[0.01] == before[1][0.01]
+        assert critvals.cusumsq_c0(48) == 0.25
+
+        monkeypatch.delenv(critvals.DATA_DIR_ENV)
+        assert (critvals.adf_critical_values("constant", 100)[0.05],
+                critvals.pss_bounds("III", 1),
+                critvals.cusumsq_c0(48)) == before
+
 
 class TestVariablesSection:
     def test_log_transform_chain(self, tmp_path):
@@ -361,6 +402,34 @@ class TestCli:
         assert code == 0
         rendered = capsys.readouterr().out
         assert "UNIT ROOT TESTS" in rendered
+
+    def test_pipeline_builds_the_payload_once(self, report, tmp_path,
+                                               capsys, monkeypatch):
+        # JSON to --output, text to the config's text path and to stdout,
+        # all rendered from one payload, with the bytes render_report gives
+        json_bytes = render_report(report, "json")
+        text_bytes = render_report(report, "text")
+        payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
+        payload["input"]["path"] = str(DATA / "seed13.csv")
+        payload["output"] = {"text": str(tmp_path / "rep.txt")}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+
+        calls = Counter()
+        to_payload_ = ardlkit.report.to_payload
+
+        def counted(*args, **kwargs):
+            calls["to_payload"] += 1
+            return to_payload_(*args, **kwargs)
+
+        monkeypatch.setattr(ardlkit.report, "to_payload", counted)
+        out = tmp_path / "rep.json"
+        assert main(["pipeline", "--config", str(cfg), "--output", str(out),
+                     "--format", "text"]) == 0
+        assert calls["to_payload"] == 1
+        assert out.read_bytes() == json_bytes
+        assert (tmp_path / "rep.txt").read_bytes() == text_bytes
+        assert capsys.readouterr().out.encode() == text_bytes
 
     def test_non_finite_numbers_are_strict_json_nulls(self, report,
                                                       tmp_path, capsys):

@@ -28,6 +28,15 @@ class TestReproducibility:
         b = generate(Ar1(T=1000, seed=2, phi=0.0))["Y"].values
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
+    def test_one_calendar_per_length(self):
+        # every dataset of one length shares one immutable index
+        a = generate(CointegratedPair(T=100, seed=13))
+        b = generate(RandomWalk(T=100, seed=14))
+        assert a["Y"].index is a["X"].index is b["Y"].index
+        assert isinstance(a.index, tuple)
+        assert a.index[0] == (2000, 1) and a.index[-1] == (2008, 4)
+        assert generate(RandomWalk(T=101, seed=14)).index[:100] == a.index
+
     def test_derived_seeds_are_stable_and_distinct(self):
         assert derive_seed(13, 0) == derive_seed(13, 0)
         assert derive_seed(13, 0) != derive_seed(13, 1)
