@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +100,18 @@ def period_ordinal(period: Period, frequency: Frequency) -> int:
     return year * frequency.periods_per_year + (sub - 1)
 
 
-def _ordinals(index, frequency: Frequency) -> np.ndarray:
-    """period_ordinal of every stamp of an index, in one pass."""
+@lru_cache(maxsize=64)
+def _ordinals(index: tuple[Period, ...], frequency: Frequency) -> np.ndarray:
+    """period_ordinal of every stamp of an index, in one pass; read-only,
+    and computed once per (index, frequency) of the 64 used last, since
+    every series of a dataset, and every transform of one, checks the
+    same calendar."""
     flat = np.fromiter(itertools.chain.from_iterable(index), dtype=np.int64)
     if flat.size != 2 * len(index):
         raise ValueError("every period stamp must be a (year, sub) pair")
-    return flat[0::2] * frequency.periods_per_year + (flat[1::2] - 1)
+    ords = flat[0::2] * frequency.periods_per_year + (flat[1::2] - 1)
+    ords.flags.writeable = False
+    return ords
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +329,8 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
     if not rows:
         raise ParseError(2, cfg.date_column, "no data rows")
 
-    steps = np.flatnonzero(np.diff(_ordinals(periods, frequency)) <= 0)
+    steps = np.flatnonzero(np.diff(_ordinals(tuple(periods), frequency))
+                           <= 0)
     if steps.size:
         i = int(steps[0]) + 1
         raise NonMonotoneIndex(

@@ -4,7 +4,13 @@ variance.
 
 Every test in the toolkit reduces to a call into this module. Fits go
 through a pivoted QR decomposition, never the raw normal equations, with
-rank declared deficient below 1e-10 of the largest column norm.
+rank declared deficient below 1e-10 of the largest column norm. Every
+factorization goes through one kernel, ``_householder``, which calls
+LAPACK's Householder QR (geqp3 with column pivoting, geqrf without,
+orgqr for Q) directly, with the workspace, pivots and finiteness check
+of scipy's ``qr`` and its numbers bit for bit; triangular solves
+call LAPACK trtrs. Only the batched QR of ``prefix_residuals``, and the
+batched solve on its triangles, run on numpy's LAPACK.
 
 A lag search needs no fit per candidate. ``nested_criteria`` scores
 every leading column block of the largest design from one QR (the
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg as sla
@@ -218,13 +225,14 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     y = _dependent(y, X)
     n, k = X.n, X.k
 
-    Q, R, piv = sla.qr(X.matrix, mode="economic", pivoting=True)
-    _check_rank(R, piv, X.names)
+    qr, tau, piv = _householder(X.matrix, pivoting=True)
+    _check_rank(qr, piv, X.names)
     # y is checked after X, so a collinear design is reported first
     y = np.asarray_chkfinite(y)
     unpiv = np.argsort(piv)
 
-    beta = _solve_upper(R, Q.T @ y)[unpiv]
+    R = qr[:k]
+    beta = _solve_upper(R, _q_factor(qr, tau).T @ y)[unpiv]
 
     fitted = X.matrix @ beta
     residuals = y - fitted
@@ -302,10 +310,60 @@ def _dependent(y, X: DesignMatrix) -> np.ndarray:
     return y
 
 
+# The optimal workspace LAPACK reports for a routine depends only on the
+# matrix shape; the shapes used last are kept.
+@lru_cache(maxsize=256)
+def _lwork(routine: str, m: int, n: int) -> int:
+    """The lwork that LAPACK's workspace query (lwork=-1) returns for
+    ``routine`` on an m x n matrix, the size scipy's ``qr`` passes."""
+    a = np.zeros((m, n), order="F")
+    args = (a, np.zeros(min(m, n))) if routine == "dorgqr" else (a,)
+    return int(getattr(lapack, routine)(*args, lwork=-1)[-2][0])
+
+
+def _lapack_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal {routine}")
+
+
+def _householder(a, pivoting: bool = False):
+    """Householder QR of a, by LAPACK geqp3 (column pivoting) or geqrf.
+
+    Returns (qr, tau, piv): the raw factor, with R on and above its
+    diagonal and the Householder vectors below, their scalars, and the
+    0-based column pivots (None without pivoting). R and the pivots are
+    those of scipy's ``qr`` bit for bit: the same routines, the same
+    workspace, and its finiteness check ("array must not contain infs or
+    NaNs").
+    """
+    a = np.asarray_chkfinite(a)
+    m, n = a.shape
+    if pivoting:
+        qr, piv, tau, _, info = lapack.dgeqp3(a, _lwork("dgeqp3", m, n))
+        _lapack_info(info, "geqp3")
+        piv -= 1
+        return qr, tau, piv
+    qr, tau, _, info = lapack.dgeqrf(a, _lwork("dgeqrf", m, n))
+    _lapack_info(info, "geqrf")
+    return qr, tau, None
+
+
+def _q_factor(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The m x n orthonormal Q of a raw factor from ``_householder``
+    (m >= n), by LAPACK orgqr: the economic Q of scipy's ``qr``."""
+    m, n = qr.shape
+    q, _, info = lapack.dorgqr(qr, tau, _lwork("dorgqr", m, n))
+    _lapack_info(info, "orgqr")
+    return q
+
+
 def _solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """R^-1 b for the C-ordered upper triangle R of ``sla.qr``: LAPACK
-    trtrs on R.T (Fortran-ordered), lower and transposed, the call that
-    ``sla.solve_triangular(R, b)`` makes, without its input checks."""
+    """R^-1 b for the upper triangle of the square R; entries below its
+    diagonal, such as the Householder vectors of a raw factor, are never
+    read. LAPACK trtrs on R.T, lower and transposed: the call that
+    ``sla.solve_triangular`` makes on a C-ordered triangle, without its
+    input checks."""
     x, info = lapack.dtrtrs(R.T, b, lower=1, trans=1)
     if info > 0:
         raise sla.LinAlgError(
@@ -315,10 +373,10 @@ def _solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_rank(R: np.ndarray, piv: np.ndarray, names) -> None:
-    """Raise RankDeficient when a diagonal of the pivoted-QR factor R
+def _check_rank(qr: np.ndarray, piv: np.ndarray, names) -> None:
+    """Raise RankDeficient when a diagonal of the pivoted-QR factor
     falls below RANK_RTOL of the largest; names the offending columns."""
-    diag = np.abs(np.diag(R))
+    diag = np.abs(qr.diagonal())
     if diag[0] == 0.0:
         raise RankDeficient(names, "design is identically zero")
     deficient = np.flatnonzero(diag < RANK_RTOL * diag[0])
@@ -332,9 +390,10 @@ def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
     sqrt(1 + x_t'(X'X)^{-1}_{t-1} x_t) (Brown, Durbin & Evans 1975).
 
     Every step is a QR (Bjorck, Numerical Methods for Least Squares
-    Problems, 3.2). The first k rows get the rank check of ``ols``; the
-    triangle [R z] of their [X y] then grows by blocks of _PREFIX_BLOCK
-    rows, one batched QR per block giving each prefix triangle in it. With
+    Problems, 3.2). As in ``ols``, X is checked for finiteness, then the
+    first k rows get its rank check, then y is checked; the triangle
+    [R z] of their [X y] then grows by blocks of _PREFIX_BLOCK rows, one
+    batched QR per block giving each prefix triangle in it. With
     u = R_{t-1}^{-T} x_t, w_t = (y_t - u'z_{t-1}) / sqrt(1 + u'u), and the
     squared w add up to the RSS of the full fit.
 
@@ -344,18 +403,21 @@ def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
         y does not match the design's row count.
     RankDeficientPrefix
         The first k rows fail the rank check of ``ols``.
+    ValueError
+        X or y holds a NaN or an infinity.
     """
     y = _dependent(y, X)
     n, k = X.n, X.k
-    R, piv = sla.qr(X.matrix[:k], mode="r", pivoting=True)
+    qr, _, piv = _householder(np.asarray_chkfinite(X.matrix)[:k],
+                              pivoting=True)
     try:
-        _check_rank(R, piv, X.names)
+        _check_rank(qr, piv, X.names)
     except RankDeficient as exc:
         raise RankDeficientPrefix(
             f"first {k} observations do not identify the coefficients: {exc}"
         ) from exc
-    A = np.column_stack([X.matrix, y])
-    T = np.linalg.qr(A[:k], mode="r")
+    A = np.column_stack([X.matrix, np.asarray_chkfinite(y)])
+    T = np.triu(_householder(A[:k])[0])
     w = np.empty(n - k)
     for s in range(k, n, _PREFIX_BLOCK):
         B = A[s:s + _PREFIX_BLOCK]
@@ -397,16 +459,16 @@ def _effects_triangle(y, X: DesignMatrix) -> np.ndarray:
     effects vector: the RSS of y on X's first j columns is the sum of
     its squared entries from j on."""
     y = _dependent(y, X)
-    R, piv = sla.qr(X.matrix, mode="r", pivoting=True)
-    _check_rank(R, piv, X.names)
-    (R,) = sla.qr(np.column_stack([X.matrix, y]), mode="r")
-    return R[:X.k + 1]
+    qr, _, piv = _householder(X.matrix, pivoting=True)
+    _check_rank(qr, piv, X.names)
+    qr = _householder(np.column_stack([X.matrix, y]))[0]
+    return np.triu(qr[:X.k + 1])
 
 
-def _tail_criteria(R: np.ndarray, n: int) -> list[tuple[float, float]]:
-    """(AIC, SBC) of y on each leading column block, j = 0..m, of a
-    triangle R of [X | y] with m columns of X, on n observations."""
-    z = R[:, -1]
+def _tail_criteria(z: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """(AIC, SBC) of y on each leading column block, j = 0..m, of [X | y]
+    with m columns of X, on n observations, from the effects vector z
+    (the last column of its triangle, m + 1 entries)."""
     rss = np.cumsum(z[::-1] ** 2)[::-1]
     return [_criteria(_log_likelihood(float(rss[j]), n), n, j)
             for j in range(len(z))]
@@ -431,7 +493,7 @@ def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
     ValueError
         X or y holds a NaN or an infinity.
     """
-    return _tail_criteria(_effects_triangle(y, X), X.n)
+    return _tail_criteria(_effects_triangle(y, X)[:, -1], X.n)
 
 
 def subset_criteria(y, X: DesignMatrix,
@@ -447,8 +509,9 @@ def subset_criteria(y, X: DesignMatrix,
     Raises as ``nested_criteria``.
     """
     R = _effects_triangle(y, X)
-    return [_tail_criteria(np.linalg.qr(R[:, [*S, X.k]], mode="r"), X.n)
-            for S in orderings]
+    return [_tail_criteria(
+        _householder(R[:, [*S, X.k]])[0][:len(S) + 1, -1], X.n)
+        for S in orderings]
 
 
 def wald_f_test(rr: RegressionResult, restricted_names,

@@ -172,6 +172,24 @@ def _as_tuple(value, what: str) -> tuple:
     raise ConfigError(f"{what} must be a list")
 
 
+def _mapping(value, what: str) -> dict:
+    """A config section: value when it is a mapping, {} when it is empty
+    or left out; anything else is a ConfigError naming the section."""
+    if isinstance(value, dict):
+        return value
+    if not value:
+        return {}
+    raise ConfigError(f"{what} must be a mapping, got {value!r}")
+
+
+def _name(value, key: str) -> str:
+    """value when it is text; a number, a list or a mapping is a
+    ConfigError naming the key."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a name, got {value!r}")
+
+
 def _converted(value, key: str, kind: type = float):
     """value as a float, or as an int when it is a whole number; any
     other value, a bool included, is a ConfigError naming the key."""
@@ -211,16 +229,22 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     if base_dir is not None and not Path(path).is_absolute():
         path = str(base_dir / path)
     ingestion = IngestionConfig(
-        date_column=inp.get("date_column", "date"),
-        date_format=inp.get("date_format", "YYYY-MM"),
-        value_columns=(tuple(inp["value_columns"])
-                       if inp.get("value_columns") else None),
+        date_column=_name(inp.get("date_column", "date"),
+                          "input.date_column"),
+        date_format=_name(inp.get("date_format", "YYYY-MM"),
+                          "input.date_format"),
+        value_columns=tuple(
+            _name(c, "input.value_columns")
+            for c in _as_tuple(inp.get("value_columns"),
+                               "input.value_columns")) or None,
         missing_policy=inp.get("missing_policy", "reject"),
-        dependent=inp.get("dependent"),
+        dependent=(None if inp.get("dependent") is None
+                   else _name(inp["dependent"], "input.dependent")),
     )
 
     variables = []
-    for name, vspec in (payload.get("variables") or {}).items():
+    for name, vspec in _mapping(payload.get("variables"),
+                                "variables").items():
         if isinstance(vspec, str):
             variables.append(VariableSpec(name, vspec))
         elif isinstance(vspec, dict):
@@ -241,9 +265,12 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         try:
             models.append(ModelSpec(
                 name=name,
-                dependent=mpayload["dependent"],
-                regressors=tuple(_as_tuple(mpayload.get("regressors"),
-                                           "regressors")),
+                dependent=_name(mpayload["dependent"],
+                                f"model {name!r}: dependent"),
+                regressors=tuple(
+                    _name(r, f"model {name!r}: regressors")
+                    for r in _as_tuple(mpayload.get("regressors"),
+                                       "regressors")),
                 max_p=_converted(mpayload.get("max_p", 2),
                                  f"model {name!r}: max_p", int),
                 max_q=_converted(mpayload.get("max_q", 2),
@@ -264,7 +291,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
             f"significance levels {bad} unsupported; allowed {ALLOWED_LEVELS}"
         )
 
-    ur = payload.get("unit_root") or {}
+    ur = _mapping(payload.get("unit_root"), "unit_root")
     spec_name = ur.get("spec", "constant")
     try:
         ur_spec = Deterministic(spec_name)
@@ -279,7 +306,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         bandwidth=ur.get("bandwidth"),
     )
 
-    dg = payload.get("diagnostics") or {}
+    dg = _mapping(payload.get("diagnostics"), "diagnostics")
     diagnostics = DiagnosticsStage(
         bg_lags=dg.get("bg_lags", 2),
         reset_powers=_as_tuple(dg.get("reset_powers", (2,)),
@@ -289,7 +316,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
                        "normality", "heteroscedasticity", "stability")},
     )
 
-    out = payload.get("output") or {}
+    out = _mapping(payload.get("output"), "output")
 
     def _resolve(p):
         if p is None:

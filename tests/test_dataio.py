@@ -16,7 +16,7 @@ from ardlkit import (
     log_transform,
     save_csv,
 )
-from ardlkit.dataio import format_period
+from ardlkit.dataio import _ordinals, format_period
 from ardlkit.errors import (
     MissingValuePolicyViolation,
     NonMonotoneIndex,
@@ -183,6 +183,17 @@ class TestIndexChecks:
                            match=f"^date {bad} at data row 4 does not "
                                  f"follow {prev}$"):
             load_csv(p, IngestionConfig(date_format=fmt))
+
+    def test_calendar_check_is_cached_and_read_only(self):
+        # every series of a dataset checks the same calendar: equal
+        # indexes share one read-only ordinal array, per frequency
+        index = tuple((2000 + i // 12, i % 12 + 1) for i in range(200))
+        ords = _ordinals(index, Frequency.MONTHLY)
+        assert _ordinals(tuple(list(index)), Frequency.MONTHLY) is ords
+        assert not ords.flags.writeable
+        assert np.array_equal(ords, 24000 + np.arange(200))
+        assert _ordinals(index, Frequency.QUARTERLY) is not ords
+        assert _ordinals.cache_info().maxsize is not None
 
     def test_stamps_must_be_pairs(self):
         with pytest.raises(ValueError, match="pair"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,12 @@ from ardlkit.errors import (
 )
 from ardlkit.linreg import TestStatistic as StatResult
 from ardlkit.diagnostics import _cusumsq
-from ardlkit.linreg import _PREFIX_BLOCK, RANK_RTOL, decisions_from_pvalue
+from ardlkit.linreg import (
+    _PREFIX_BLOCK,
+    RANK_RTOL,
+    decisions_from_pvalue,
+    prefix_residuals,
+)
 from ardlkit.simgen import gaussian_stream
 
 
@@ -289,6 +295,28 @@ class TestRecursiveResiduals:
                                        "X": np.arange(8.0) ** 2})
         with pytest.raises(DimensionMismatch):
             recursive_residuals(y, X)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["y", "X"])
+    @pytest.mark.parametrize("through", ["prefix_residuals", "cusum"])
+    def test_non_finite_input_raises_value_error(self, through, where, bad):
+        # row 40 lies past the first k rows, which the rank check reads;
+        # NaN residuals from there on would read as a stable CUSUM
+        y, X = recursive_design("C", 2, 60, seed=5)
+        rr = ols(y, X)
+        if where == "y":
+            y = y.copy()
+            y[40] = bad
+            rr = dataclasses.replace(rr, y=y)
+        else:
+            mat = X.matrix.copy()
+            mat[40, 1] = bad
+            X = DesignMatrix(X.names, mat)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            if through == "cusum":
+                cusum(rr, X)
+            else:
+                prefix_residuals(y, X)
 
     def test_half_sample_orthogonality(self):
         ds = generate(BreakModel(T=200, seed=43, break_point=100,

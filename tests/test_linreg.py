@@ -26,7 +26,14 @@ from ardlkit.errors import (
     RankDeficient,
     UnknownCoefficient,
 )
-from ardlkit.linreg import _solve_upper
+from ardlkit.linreg import (
+    _effects_triangle,
+    _householder,
+    _lwork,
+    _q_factor,
+    _solve_upper,
+    _tail_criteria,
+)
 
 from conftest import oracle_ols
 
@@ -263,16 +270,73 @@ def test_non_finite_input_raises_value_error(rng, name, where, bad):
         _FITS[name](y, X)
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def assert_factors_are_scipys(X):
+    k = X.shape[1]
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    qr, tau, kernel_piv = _householder(X, pivoting=True)
+    assert np.array_equal(np.triu(qr[:k]), R)
+    assert np.array_equal(kernel_piv, piv)
+    assert np.array_equal(_q_factor(qr, tau), Q)
+    (R,) = sla.qr(X, mode="r")
+    qr, _, no_piv = _householder(X)
+    assert no_piv is None
+    assert np.array_equal(np.triu(qr), R)
+
+
+class TestHouseholderKernel:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_factors_are_scipys_bit_for_bit(self, rng, k, order):
+        for n in sorted({k + 1, k + 2, 2 * k + 3, 60, 199, 400}):
+            assert_factors_are_scipys(np.asarray(
+                rng.standard_normal((n, k))
+                * 10.0 ** rng.uniform(-4.0, 4.0, k), order=order))
+
+    @pytest.mark.parametrize("k", [129, 200])
+    def test_blocked_factorization_gets_the_queried_workspace(self, rng, k):
+        # past 128 columns LAPACK factors by blocks, and its bits then
+        # depend on the workspace it is given
+        assert_factors_are_scipys(rng.standard_normal((400, k)))
+
+    def test_workspace_cache_stays_bounded(self):
+        size = _lwork.cache_info().maxsize
+        assert size is not None
+        for n in range(2, size + 40):
+            _householder(np.ones((n, 1)), pivoting=True)
+        assert _lwork.cache_info().currsize <= size
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 16])
 def test_triangular_solves_are_solve_triangulars(rng, k):
-    # ols calls LAPACK trtrs itself, the way solve_triangular does, so
-    # its coefficients and covariance keep their bits
+    # ols hands trtrs the raw factor, Householder vectors below the
+    # diagonal included; trtrs reads only R, so the coefficients and
+    # covariance keep the bits of solve_triangular on scipy's R
     for n in (k + 1, 40, 300):
         X = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, k)
         Q, R, _ = sla.qr(X, mode="economic", pivoting=True)
+        qr, _, _ = _householder(X, pivoting=True)
         for b in (Q.T @ rng.standard_normal(n), np.eye(k)):
-            assert np.array_equal(_solve_upper(R, b),
+            assert np.array_equal(_solve_upper(qr[:k], b),
                                   sla.solve_triangular(R, b))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_scores_are_those_of_numpys_qr(seed):
+    # each ordering's triangle is refactored by LAPACK geqrf; numpy's qr
+    # of the same triangle gives the same effects vector, bit for bit
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 12))
+    n = int(rng.integers(k + 2, 300))
+    X = DesignMatrix(tuple(f"X{j}" for j in range(k)),
+                     rng.standard_normal((n, k))
+                     * 10.0 ** rng.uniform(-4.0, 4.0, k))
+    y = X.matrix @ rng.standard_normal(k) + rng.standard_normal(n)
+    orderings = ([list(rng.permutation(k)[:j]) for j in range(k + 1)]
+                 + [list(rng.permutation(k)) for _ in range(4)])
+    R = _effects_triangle(y, X)
+    assert subset_criteria(y, X, orderings) == [
+        _tail_criteria(np.linalg.qr(R[:, [*S, k]], mode="r")[:, -1], n)
+        for S in orderings]
 
 
 def test_collinear_design_is_reported_before_a_non_finite_y(rng):

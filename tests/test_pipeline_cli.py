@@ -1,13 +1,18 @@
+import io
 import json
 import math
 import re
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ardlkit.diagnostics
 import ardlkit.linreg
@@ -584,11 +589,22 @@ def _log_transform_as(transforms):
     (_log_transform_as("log"), 2, "transforms"),
     (_top("force", "false"), 2, "force"),
     (_setting("diagnostics", "enabled", "no"), 2, "diagnostics.enabled"),
+    (_top("variables", True), 2, "variables"),
+    (_top("unit_root", [1]), 2, "unit_root"),
+    (_top("diagnostics", "II"), 2, "diagnostics"),
+    (_top("output", ["X"]), 2, "output"),
+    (_setting("input", "value_columns", 20), 2, "input.value_columns"),
+    (_setting("input", "dependent", ["Y"]), 2, "input.dependent"),
+    (_setting("input", "date_format", {}), 2, "input.date_format"),
+    (_model("dependent", ["Y"]), 2, "dependent"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
         "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
         "levels-text", "unit_root-alpha-text", "max_p-text",
         "max_p-fraction", "max_q-bool", "transforms-string", "force-text",
-        "diagnostics-enabled-text"])
+        "diagnostics-enabled-text", "variables-bool", "unit_root-list",
+        "diagnostics-text", "output-list", "value_columns-number",
+        "input-dependent-list", "date_format-mapping",
+        "model-dependent-list"])
 def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")
@@ -601,3 +617,96 @@ def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     assert err.startswith("error: ")
     assert names in err
 
+
+# A fuzz of the command line: seed13's first rows and config, with a few
+# CSV cells and config values replaced by drawn ones.
+_FUZZ_ROWS = 120
+_FUZZ_LINES = (DATA / "seed13.csv").read_text().splitlines()[:_FUZZ_ROWS + 1]
+_FUZZ_CELLS = st.one_of(
+    st.sampled_from(["", "NA", ".", "nan", "inf", "-inf", "1e400", "-0",
+                     "x", "2000-13", "1999-12", "2000-Q1", "2000",
+                     '"1"']),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(["ADF", "PP", "trend", "none", "AIC", "II", "V",
+                     "drop_row", "interpolate", "YYYY", "Y", "X"]),
+    st.lists(st.one_of(st.integers(-1, 5), st.sampled_from(["Y", "X"])),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["source", "transforms", "path"]),
+                    st.one_of(st.text(max_size=4),
+                              st.lists(st.text(max_size=4), max_size=2))),
+)
+_FUZZ_KEYS = [
+    ("alpha",), ("levels",), ("force",), ("variables",), ("output",),
+    ("input", "date_format"), ("input", "missing_policy"),
+    ("input", "value_columns"), ("input", "dependent"),
+    ("input", "date_column"),
+    ("models",), ("models", 0, "max_p"), ("models", 0, "max_q"),
+    ("models", 0, "criterion"), ("models", 0, "bounds_case"),
+    ("models", 0, "dependent"), ("models", 0, "regressors"),
+    ("unit_root",), ("unit_root", "test"), ("unit_root", "spec"),
+    ("unit_root", "alpha"), ("unit_root", "max_lag"),
+    ("unit_root", "rule"), ("unit_root", "bandwidth"),
+    ("diagnostics",), ("diagnostics", "enabled"),
+    ("diagnostics", "bg_lags"), ("diagnostics", "reset_powers"),
+]
+
+
+def _holds(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def _fuzz_config(csv_path, edits):
+    """seed13's config on csv_path, with each edit's value set at its key
+    path wherever an earlier edit left that path standing."""
+    cfg = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
+    cfg["input"]["path"] = str(csv_path)
+    for key, value in edits:
+        node = cfg
+        for part in key[:-1]:
+            node = node[part] if _holds(node, part) else None
+        if isinstance(node, dict) or _holds(node, key[-1]):
+            node[key[-1]] = value
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["pipeline", "ardl", "unitroot"]),
+       cells=st.lists(st.tuples(st.integers(0, _FUZZ_ROWS),
+                                st.integers(0, 2), _FUZZ_CELLS), max_size=3),
+       edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES),
+                      max_size=3))
+def test_cli_maps_drawn_inputs_to_exit_codes(command, cells, edits):
+    rows = [line.split(",") for line in _FUZZ_LINES]
+    for r, c, cell in cells:
+        rows[r][c] = cell
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, cfg, out = tmp / "data.csv", tmp / "cfg.yaml", tmp / "out.json"
+        data.write_text("\n".join(",".join(r) for r in rows) + "\n",
+                        encoding="utf-8")
+        cfg.write_text(yaml.safe_dump(_fuzz_config(data, edits)),
+                       encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--output", str(out),
+                "--format", "json"]
+        if command == "unitroot":
+            argv += ["--input", str(data)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert code in {0, 2, 3, 4, 5}
+        assert "Traceback" not in stderr.getvalue()
+        for text in (stdout.getvalue(),
+                     out.read_text(encoding="utf-8") if out.exists() else ""):
+            if text:
+                json.loads(text, parse_constant=refuse)
