@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import dataio, report as report_mod
 from .dataio import IngestionConfig
 from .errors import (
@@ -32,7 +30,12 @@ from .errors import (
     I2VariablePresent,
     NumericalError,
 )
-from .pipeline import load_config, run_pipeline, unit_root_table
+from .pipeline import (
+    load_config,
+    read_config_file,
+    run_pipeline,
+    unit_root_table,
+)
 from .simgen import dgp_from_dict, generate
 from .unitroot import UnitRootConfig
 
@@ -43,6 +46,9 @@ EXIT_NUMERICAL = 4
 EXIT_I2 = 5
 
 
+# parse_args leaves the parser as it found it, so one parser serves
+# every call of main
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ardlkit",
@@ -147,13 +153,7 @@ def _cmd_unitroot(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse failure: {exc}") from None
+    payload = read_config_file(args.config)
     if not isinstance(payload, dict):
         raise ConfigError("simulate config must be a mapping")
     dgp_payload = payload.get("dgp", payload)

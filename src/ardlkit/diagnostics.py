@@ -5,6 +5,12 @@ form (Ramsey RESET), normality (Jarque-Bera), heteroscedasticity
 (Breusch-Pagan-Godfrey LM), and parameter stability (CUSUM and CUSUM of
 squares on recursive residuals). Each test stands alone; run_battery
 bundles them into one report with an overall verdict.
+
+No test refits the model. The auxiliary regressions of Breusch-Godfrey,
+Breusch-Pagan and RESET are read from the fit's own QR with the lagged
+residuals, nothing, or the powers of the fitted values appended
+(``linreg.appended_effects``); the recursive residuals come from one
+blocked QR of the row prefixes (``linreg.prefix_residuals``).
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from .errors import (
 )
 from .linreg import (
     DEFAULT_LEVELS,
+    EXACT_FIT_RTOL,
     DesignMatrix,
     RegressionResult,
     TestStatistic,
+    appended_effects,
+    auxiliary_r_squared,
     decisions_from_pvalue,
-    ols,
+    ols,  # not called here; kept in this namespace, which perfbench wraps
     prefix_residuals,
-    wald_f_test,
 )
 
 # Straight-line CUSUM boundary slopes from the Brownian-motion crossing
@@ -75,7 +83,9 @@ def breusch_godfrey(rr: RegressionResult, X: DesignMatrix | None = None,
 
     The auxiliary regression puts the residuals on the original design
     plus their own lags (zero-padded before the sample), and LM = n R^2
-    is referred to chi2(lags).
+    is referred to chi2(lags). Its RSS comes from the fit's own QR with
+    the lag block appended (``linreg.auxiliary_r_squared``); nothing is
+    refit.
     """
     X = X if X is not None else rr.design
     if lags < 1:
@@ -87,13 +97,11 @@ def breusch_godfrey(rr: RegressionResult, X: DesignMatrix | None = None,
             f"breusch_godfrey with {lags} lags needs more than "
             f"{X.k + lags + 1} observations, got {n}"
         )
-    cols = {name: X.column(name) for name in X.names}
+    lagged = np.zeros((n, lags))
     for j in range(1, lags + 1):
-        lagged = np.zeros(n)
-        lagged[j:] = e[:-j]
-        cols[f"RESID(-{j})"] = lagged
-    aux = ols(e, DesignMatrix.from_columns(cols))
-    lm = n * aux.r_squared
+        lagged[j:, j - 1] = e[:-j]
+    names = [f"RESID(-{j})" for j in range(1, lags + 1)]
+    lm = n * auxiliary_r_squared(rr, X, e, names, lagged)
     p = float(special.chdtrc(lags, lm))
     return TestStatistic(
         name="breusch_godfrey",
@@ -111,6 +119,11 @@ def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
     powers must be a nonempty subset of {2, 3, 4}. The fitted values
     are rescaled to unit maximum before powering; the F statistic is
     invariant to that rescaling and conditioning improves.
+
+    The restricted model is the fit given. The augmented one is its
+    residuals on the powers appended to X (``linreg.appended_effects``):
+    with effects z, RSS_r - RSS_aug = ||z[:a]||^2 and RSS_aug = z[a]^2.
+    So nothing is refit, and X should span the fit's design.
     """
     X = X if X is not None else rr.design
     powers = tuple(sorted(set(powers)))
@@ -121,23 +134,28 @@ def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
     scale = float(np.max(np.abs(fitted)))
     if scale == 0.0 or spread <= 1e-12 * scale:
         raise ConstantFitted("fitted values are constant")
-    if rr.rss <= 1e-13 * max(float(rr.y @ rr.y), 1.0):
+    yy = max(float(rr.y @ rr.y), 1.0)
+    if rr.rss <= EXACT_FIT_RTOL * yy:
         raise PerfectFitDegenerate("zero residual variance")
     f_scaled = fitted / scale
-    cols = {name: X.column(name) for name in X.names}
-    added = []
-    for pwr in powers:
-        name = f"FITTED^{pwr}"
-        cols[name] = f_scaled ** pwr
-        added.append(name)
-    aug = ols(rr.y, DesignMatrix.from_columns(cols))
-    result = wald_f_test(aug, added)
+    z = appended_effects(rr, X, rr.residuals,
+                         [f"FITTED^{pwr}" for pwr in powers],
+                         np.column_stack([f_scaled ** pwr for pwr in powers]))
+    q = len(powers)
+    rss_aug = float(z[q]) ** 2
+    if rss_aug <= EXACT_FIT_RTOL * yy:
+        raise PerfectFitDegenerate(
+            "unrestricted model fits exactly; F ratio undefined"
+        )
+    df = rr.n - X.k - q
+    f_stat = float(z[:q] @ z[:q]) / q / (rss_aug / df)
+    p = float(special.fdtrc(q, df, f_stat))
     return TestStatistic(
         name="ramsey_reset",
-        statistic=result.statistic,
-        distribution=result.distribution,
-        p_value=result.p_value,
-        decision_at=result.decision_at,
+        statistic=float(f_stat),
+        distribution=f"F({q}, {df})",
+        p_value=p,
+        decision_at=decisions_from_pvalue(p),
     )
 
 
@@ -169,7 +187,8 @@ def breusch_pagan(rr: RegressionResult,
     """LM heteroscedasticity test: squared residuals on the design.
 
     LM = n R^2 of the auxiliary regression, chi2 with one degree of
-    freedom per non-constant regressor.
+    freedom per non-constant regressor. Its RSS is that of e^2 less its
+    projection on the fit's own Q (``linreg.auxiliary_r_squared``).
     """
     X = X if X is not None else rr.design
     df = X.k - 1 if X.has_constant() else X.k
@@ -177,8 +196,7 @@ def breusch_pagan(rr: RegressionResult,
         raise ConfigError("breusch_pagan needs at least one non-constant "
                           "regressor")
     e2 = rr.residuals**2
-    aux = ols(e2, X)
-    lm = len(e2) * aux.r_squared
+    lm = len(e2) * auxiliary_r_squared(rr, X, e2)
     p = float(special.chdtrc(df, lm))
     return TestStatistic(
         name="breusch_pagan",

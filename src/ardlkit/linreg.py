@@ -21,6 +21,15 @@ read each RSS as a tail sum of an effects vector and score it by the
 same AIC/SBC formulas as ``ols`` results. Recursive residuals
 (``prefix_residuals``) come from the QR triangles of the growing row
 prefixes of [X | y], batched a block of prefixes at a time.
+
+A fit keeps its factorization (Q, R and the pivots), and the tests on
+a fitted model read it instead of refitting (Frisch-Waugh-Lovell, with
+columns appended to an existing QR). ``wald_f_test`` scores the
+restricted model from one QR of the small triangle [R_remaining | Q'y];
+``auxiliary_r_squared`` and ``appended_effects`` give the auxiliary
+regressions of the residual tests, a dependent on the fit's design with
+or without an added block, from Q and one QR of the block projected off
+it.
 """
 
 from __future__ import annotations
@@ -110,11 +119,13 @@ class DesignMatrix:
                             self.matrix[:, keep])
 
     def has_constant(self) -> bool:
-        for j in range(self.k):
-            col = self.matrix[:, j]
-            if col[0] != 0.0 and np.all(col == col[0]):
-                return True
-        return False
+        """True when some column equals its first entry in every row and
+        that entry is not zero."""
+        return _has_constant(self.matrix)
+
+
+def _has_constant(m: np.ndarray) -> bool:
+    return bool(((m[0] != 0.0) & (m == m[0]).all(axis=0)).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +167,11 @@ class RegressionResult:
     RSS/n. AIC = -2 logL + 2k and SBC = -2 logL + k ln n use that
     log-likelihood, so the two variance conventions are deliberate; both
     criteria come from information_criteria.
+
+    The fit keeps its factorization: ``design.matrix[:, pivots]`` equals
+    ``q_factor @ r_factor``, with q_factor (n x k) orthonormal and
+    r_factor (k x k) upper triangular. Tests on the fit read it instead
+    of refitting.
     """
 
     coefficients: dict[str, float]
@@ -174,6 +190,9 @@ class RegressionResult:
     k: int
     design: DesignMatrix
     y: np.ndarray
+    q_factor: np.ndarray = field(repr=False)
+    r_factor: np.ndarray = field(repr=False)
+    pivots: np.ndarray = field(repr=False)
 
     @property
     def aic(self) -> float:
@@ -231,8 +250,9 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     y = np.asarray_chkfinite(y)
     unpiv = np.argsort(piv)
 
-    R = qr[:k]
-    beta = _solve_upper(R, _q_factor(qr, tau).T @ y)[unpiv]
+    R = _triu(qr[:k])
+    Q = _q_factor(qr, tau)
+    beta = _solve_upper(R, Q.T @ y)[unpiv]
 
     fitted = X.matrix @ beta
     residuals = y - fitted
@@ -247,20 +267,7 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     has_const = X.has_constant()
-    if has_const:
-        ybar = y.mean()
-        centered = y - ybar
-        tss = float(centered @ centered)
-        # a dependent that is constant relative to machine precision has
-        # nothing to explain; without the guard 0/0 noise leaks into R^2
-        if math.sqrt(tss / n) <= 1e-14 * abs(ybar):
-            tss = 0.0
-    else:
-        tss = float(y @ y)
-    if tss > 0.0:
-        r2 = min(max(1.0 - rss / tss, 0.0), 1.0)
-    else:
-        r2 = 0.0
+    r2, tss = _r_squared(y, rss, has_const)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
 
     q_overall = k - 1 if has_const else k
@@ -298,7 +305,30 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
         k=k,
         design=X,
         y=y,
+        q_factor=Q,
+        r_factor=R,
+        pivots=piv,
     )
+
+
+def _r_squared(y: np.ndarray, rss: float,
+               has_const: bool) -> tuple[float, float]:
+    """(R^2, TSS) of a fit of y with residual sum of squares rss: TSS is
+    centred when the design has a constant, y'y otherwise, and R^2 is
+    1 - rss/TSS clipped to [0, 1] (0 when TSS is 0)."""
+    if has_const:
+        ybar = y.mean()
+        centered = y - ybar
+        tss = float(centered @ centered)
+        # a dependent that is constant relative to machine precision has
+        # nothing to explain; without the guard 0/0 noise leaks into R^2
+        if math.sqrt(tss / y.shape[0]) <= 1e-14 * abs(ybar):
+            tss = 0.0
+    else:
+        tss = float(y @ y)
+    if tss > 0.0:
+        return min(max(1.0 - rss / tss, 0.0), 1.0), tss
+    return 0.0, tss
 
 
 def _dependent(y, X: DesignMatrix) -> np.ndarray:
@@ -356,6 +386,18 @@ def _q_factor(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
     q, _, info = lapack.dorgqr(qr, tau, _lwork("dorgqr", m, n))
     _lapack_info(info, "orgqr")
     return q
+
+
+@lru_cache(maxsize=256)
+def _below_diagonal(m: int, n: int) -> np.ndarray:
+    mask = np.tri(m, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _triu(a: np.ndarray) -> np.ndarray:
+    """np.triu(a) of a 2-d a, with its mask built once per shape."""
+    return np.where(_below_diagonal(*a.shape), 0.0, a)
 
 
 def _solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,7 +459,7 @@ def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
             f"first {k} observations do not identify the coefficients: {exc}"
         ) from exc
     A = np.column_stack([X.matrix, np.asarray_chkfinite(y)])
-    T = np.triu(_householder(A[:k])[0])
+    T = _triu(_householder(A[:k])[0])
     w = np.empty(n - k)
     for s in range(k, n, _PREFIX_BLOCK):
         B = A[s:s + _PREFIX_BLOCK]
@@ -462,7 +504,7 @@ def _effects_triangle(y, X: DesignMatrix) -> np.ndarray:
     qr, _, piv = _householder(X.matrix, pivoting=True)
     _check_rank(qr, piv, X.names)
     qr = _householder(np.column_stack([X.matrix, y]))[0]
-    return np.triu(qr[:X.k + 1])
+    return _triu(qr[:X.k + 1])
 
 
 def _tail_criteria(z: np.ndarray, n: int) -> list[tuple[float, float]]:
@@ -523,6 +565,14 @@ def wald_f_test(rr: RegressionResult, restricted_names,
     the statistic's asymptotic distribution is nonstandard, so the
     result carries no p-value and no decisions; otherwise it is F(q, n-k).
 
+    Nothing is refit. With X = Q R from the fit's own factor and z = Q'y,
+    the restricted model's excess RSS is that of z on Z, R's columns of
+    the r remaining coefficients: the last diagonal of one QR of the
+    k x (r+1) matrix [Z | z], squared. Z has the column norms and
+    singular values of X's remaining columns, so its pivoted QR gets the
+    rank check of ``ols`` in place of the restricted fit's. With every
+    coefficient restricted, RSS_r = y'y.
+
     Raises
     ------
     UnknownCoefficient
@@ -544,20 +594,24 @@ def wald_f_test(rr: RegressionResult, restricted_names,
             "unrestricted model fits exactly; F ratio undefined"
         )
 
-    remaining = [nm for nm in rr.design.names if nm not in set(restricted)]
+    rss_u = rr.rss
+    names = rr.design.names
+    remaining = [j for j, nm in enumerate(names) if nm not in set(restricted)]
     if remaining:
+        Z = rr.r_factor[:, np.argsort(rr.pivots)[remaining]]
+        qr, _, piv = _householder(Z, pivoting=True)
         try:
-            restricted_fit = ols(rr.y, rr.design.drop(restricted))
+            _check_rank(qr, piv, [names[j] for j in remaining])
         except RankDeficient as exc:
             raise DegenerateRestriction(str(exc)) from exc
-        rss_r = restricted_fit.rss
+        T = _householder(np.column_stack([Z, rr.q_factor.T @ rr.y]))[0]
+        excess = float(T[len(remaining), len(remaining)]) ** 2
     else:
-        rss_r = float(rr.y @ rr.y)
+        excess = max(float(rr.y @ rr.y) - rss_u, 0.0)
 
-    rss_u = rr.rss
     q = len(restricted)
     df = rr.n - rr.k
-    f_stat = max(rss_r - rss_u, 0.0) / q / (rss_u / df)
+    f_stat = excess / q / (rss_u / df)
 
     if bounds_context:
         return TestStatistic(
@@ -575,6 +629,86 @@ def wald_f_test(rr: RegressionResult, restricted_names,
         p_value=p,
         decision_at=decisions_from_pvalue(p, levels),
     )
+
+
+def _basis(rr: RegressionResult, X: DesignMatrix) -> tuple[np.ndarray, float]:
+    """An orthonormal basis Q of X's columns and X's largest column norm:
+    the fit's own factor when X is its design, else one pivoted QR of X
+    with the finiteness and rank checks of ``ols``."""
+    if X is rr.design:
+        return rr.q_factor, abs(float(rr.r_factor[0, 0]))
+    qr, tau, piv = _householder(X.matrix, pivoting=True)
+    _check_rank(qr, piv, X.names)
+    return _q_factor(qr, tau), abs(float(qr[0, 0]))
+
+
+def appended_effects(rr: RegressionResult, X: DesignMatrix, dependent,
+                     names, block) -> np.ndarray:
+    """Effects of ``dependent`` on the columns ``block`` (n x a, named
+    ``names``) appended to X, without a fit (Frisch-Waugh-Lovell): z,
+    a + 1 entries, where ||z[:a]||^2 is what the block adds to the
+    explained sum of squares of the regression on X and z[a]^2 is the
+    RSS on [X | block].
+
+    With Q a basis of X (see ``_basis``), M = block - Q(Q'block) and
+    v = dependent - Q(Q'dependent); z is the last column of the triangle
+    of one Householder QR of [M | v]. The rank rule for the block: a
+    column is collinear when its distance from the span of X and the
+    block's earlier columns, the j-th diagonal of that triangle, falls
+    below RANK_RTOL of the largest column norm of [X | block]. ``ols``
+    applies the same tolerance to [X | block] with column pivoting, so
+    the two can disagree only on a column within rounding of that edge,
+    and may then name different columns.
+
+    Raises
+    ------
+    SampleTooShort
+        n <= k + a: [X | block] is not a design.
+    DimensionMismatch
+        dependent does not match X's row count.
+    RankDeficient
+        X fails the rank check of ``ols``, or a block column is
+        collinear by the rule above; names the columns.
+    ValueError
+        X holds a NaN or an infinity.
+    """
+    n, a = block.shape
+    if n <= X.k + a:
+        raise SampleTooShort(f"need n > k, got n={n}, k={X.k + a}")
+    dependent = _dependent(dependent, X)
+    Q, scale = _basis(rr, X)
+    M = block - Q @ (Q.T @ block)
+    v = dependent - Q @ (Q.T @ dependent)
+    T = _householder(np.column_stack([M, v]))[0]
+    scale = max(scale, float(np.sqrt(np.einsum("ij,ij->j", block, block))
+                             .max()))
+    deficient = np.flatnonzero(np.abs(T.diagonal()[:a]) < RANK_RTOL * scale)
+    if deficient.size:
+        raise RankDeficient(tuple(names[j] for j in deficient))
+    return T[:a + 1, a].copy()
+
+
+def auxiliary_r_squared(rr: RegressionResult, X: DesignMatrix, dependent,
+                        names=(), block=None) -> float:
+    """R^2 of ``dependent`` regressed on X, or on [X | block] when a block
+    is given, by the rule of ``ols`` (centred when that design has a
+    constant), without a fit: the RSS is ||dependent - Q(Q'dependent)||^2
+    for a basis Q of X, or the last effect of ``appended_effects``
+    squared.
+
+    Raises as ``appended_effects``.
+    """
+    if block is None:
+        dependent = _dependent(dependent, X)
+        Q = _basis(rr, X)[0]
+        u = dependent - Q @ (Q.T @ dependent)
+        rss = float(u @ u)
+        has_const = X.has_constant()
+    else:
+        dependent = np.asarray(dependent, dtype=np.float64)
+        rss = float(appended_effects(rr, X, dependent, names, block)[-1]) ** 2
+        has_const = X.has_constant() or _has_constant(block)
+    return _r_squared(dependent, rss, has_const)[0]
 
 
 def default_bandwidth(n: int) -> int:

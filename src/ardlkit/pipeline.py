@@ -343,16 +343,27 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     return cfg
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse a YAML (or JSON; JSON is a YAML subset) config file."""
+def read_config_file(path):
+    """The document in a YAML (or JSON; JSON is a YAML subset) file, read
+    by PyYAML's safe loader: libyaml's CSafeLoader where PyYAML was built
+    with it, SafeLoader otherwise.
+
+    Raises ConfigError when the file is missing or does not parse, or
+    when a scalar is malformed for its tag (a date like 2020-02-30).
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        payload = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+        return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"config parse failure: {exc}") from None
-    return parse_config(payload, base_dir=path.parent)
+
+
+def load_config(path) -> PipelineConfig:
+    """Parse a YAML (or JSON; JSON is a YAML subset) config file."""
+    return parse_config(read_config_file(path), base_dir=Path(path).parent)
 
 
 def _validate_references(cfg: PipelineConfig) -> None:

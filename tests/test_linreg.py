@@ -162,6 +162,32 @@ class TestOlsInvariants:
             ols(np.ones(4), design(C=np.ones(5)))
 
 
+N_CONST = 12
+_RAMP = np.arange(1.0, N_CONST + 1.0)
+_ALMOST = np.r_[np.full(N_CONST - 1, 2.5), 2.5000000001]
+
+
+@pytest.mark.parametrize("columns, expected", [
+    ({"C": np.ones(N_CONST)}, True),
+    ({"X": _RAMP}, False),
+    ({"Z": np.zeros(N_CONST), "X": _RAMP}, False),
+    ({"X": _RAMP, "C": np.full(N_CONST, -3.0)}, True),
+    ({"X": _RAMP, "A": _ALMOST}, False),
+    ({"A": _ALMOST, "Z": np.zeros(N_CONST), "C": np.full(N_CONST, 0.5)},
+     True),
+    ({"N": np.r_[math.nan, np.ones(N_CONST - 1)], "X": _RAMP}, False),
+], ids=["k1-constant", "k1-ramp", "zero-column", "constant-not-first",
+        "equal-but-the-last-row", "constant-after-near-misses",
+        "nan-first-entry"])
+def test_has_constant(columns, expected):
+    # a column is a constant when every entry equals its first and the
+    # first is not zero: the column-by-column rule, row for row
+    X = DesignMatrix.from_columns(columns)
+    assert X.has_constant() is expected
+    assert any(col[0] != 0.0 and np.all(col == col[0])
+               for col in X.matrix.T) is expected
+
+
 class TestInformationCriteria:
     def test_stated_formulas(self):
         rr = _fake_result(log_l=-100.0, k=3, n=50)
@@ -356,6 +382,8 @@ def _fake_result(log_l, k, n):
         sigma2=1.0,
         cov_matrix=np.zeros((max(k, 1), max(k, 1))), n=n, k=k,
         design=DesignMatrix(("C",), np.ones((n, 1))), y=np.zeros(n),
+        q_factor=np.ones((n, 1)) / math.sqrt(n),
+        r_factor=np.full((1, 1), math.sqrt(n)), pivots=np.zeros(1, int),
     )
 
 

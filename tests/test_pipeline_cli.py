@@ -19,15 +19,21 @@ import ardlkit.linreg
 import ardlkit.pipeline
 import ardlkit.report
 import ardlkit.unitroot
+import ardlkit.cli as cli
 from ardlkit import (
+    CointegratedPair,
     Deterministic,
     RandomWalk,
+    bounds_test,
     coefficient_pvalues,
+    estimate_ardl,
     generate,
     load_config,
     parse_config,
     render_report,
+    run_battery,
     run_pipeline,
+    select_lags,
     to_payload,
 )
 from ardlkit.cli import main
@@ -54,6 +60,25 @@ def base_config(path, **overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def count_ols(monkeypatch) -> Counter:
+    """A counter of ols calls, patched in under ols's name in every
+    ardlkit module that holds it."""
+    calls = Counter()
+    ols = ardlkit.linreg.ols
+
+    def counted(*args, **kwargs):
+        calls["ols"] += 1
+        return ols(*args, **kwargs)
+
+    holders = [mod for name, mod in sys.modules.items()
+               if (name == "ardlkit" or name.startswith("ardlkit."))
+               and getattr(mod, "ols", None) is ols]
+    assert ardlkit.unitroot in holders and ardlkit.ardl in holders
+    for mod in holders:
+        monkeypatch.setattr(mod, "ols", counted)
+    return calls
 
 
 def write_csv(path, columns):
@@ -167,24 +192,27 @@ class TestPipelineRun:
 
     def test_one_run_fit_count(self, monkeypatch):
         # each ADF call and each ARDL (p, q) search scores its
-        # candidates from one factorization, and only the chosen ones
-        # are fit: 8 ADF, 8 PP and 7 ARDL-stage fits (165 when every
-        # candidate was fit, 29 when only the ADF search was not)
-        calls = Counter()
-        ols = ardlkit.linreg.ols
-
-        def counted(*args, **kwargs):
-            calls["ols"] += 1
-            return ols(*args, **kwargs)
-
-        holders = [mod for name, mod in sys.modules.items()
-                   if (name == "ardlkit" or name.startswith("ardlkit."))
-                   and getattr(mod, "ols", None) is ols]
-        assert ardlkit.unitroot in holders and ardlkit.ardl in holders
-        for mod in holders:
-            monkeypatch.setattr(mod, "ols", counted)
+        # candidates from one factorization, only the chosen ones are
+        # fit, and the bounds F and the battery read the model's own
+        # factorization: 8 ADF, 8 PP and 2 ARDL-stage fits (estimate_ardl
+        # and estimate_ecm; 165 when every candidate was fit, 29 when
+        # only the ADF search was not, 23 while the tests on a model
+        # refit it)
+        calls = count_ols(monkeypatch)
         run_pipeline(load_config(DATA / "seed13_config.yaml"))
-        assert calls["ols"] == 23
+        assert calls["ols"] == 18
+
+    @pytest.mark.parametrize("T, max_p, max_q", [(60, 1, 0), (200, 3, 2)])
+    def test_tests_on_a_fitted_model_fit_nothing(self, monkeypatch, T,
+                                                 max_p, max_q):
+        ds = generate(CointegratedPair(T=T, seed=T))
+        model = estimate_ardl(ds, select_lags(ds, max_p, max_q))
+        calls = count_ols(monkeypatch)
+        for case in ("II", "III"):
+            bounds_test(model, case)
+        run_battery(model.levels_fit, bg_lags=4, reset_powers=(2, 3, 4))
+        run_battery(model.levels_fit)
+        assert calls["ols"] == 0
 
     def test_classification_is_the_tables_evidence(self, report):
         # unit_root: {test: ADF, spec: constant}
@@ -710,3 +738,108 @@ def test_cli_maps_drawn_inputs_to_exit_codes(command, cells, edits):
                      out.read_text(encoding="utf-8") if out.exists() else ""):
             if text:
                 json.loads(text, parse_constant=refuse)
+
+
+# --- the config reader and the CLI parser ------------------------------------
+
+SIMULATE_PAYLOAD = {"dgp": {"kind": "ar1", "T": 50, "seed": 1, "phi": 0.5}}
+
+
+def _config_texts():
+    seed13 = (DATA / "seed13_config.yaml").read_text(encoding="utf-8")
+    return {
+        "seed13": seed13,
+        "seed13-as-json": json.dumps(yaml.safe_load(seed13)),
+        "base-config": yaml.safe_dump(base_config("data.csv")),
+        "simulate": yaml.safe_dump(SIMULATE_PAYLOAD),
+        "fuzz-edits": yaml.safe_dump(_fuzz_config(
+            "data.csv", [(("alpha",), "x"), (("models", 0, "max_p"), -1),
+                         (("diagnostics", "reset_powers"), ["Y", 2])])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_config_texts()))
+def test_libyaml_and_python_loaders_read_the_same_mapping(name):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    text = _config_texts()[name]
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def loader(request, monkeypatch):
+    """Runs a test with libyaml's loader, and again with PyYAML's own as
+    on an install without libyaml."""
+    if request.param == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+def test_config_reads_alike_with_either_loader(loader, tmp_path):
+    cfg = tmp_path / "seed13.json"
+    cfg.write_text(_config_texts()["seed13-as-json"], encoding="utf-8")
+    expected = parse_config(
+        yaml.safe_load((DATA / "seed13_config.yaml").read_text()),
+        base_dir=DATA)
+    assert load_config(DATA / "seed13_config.yaml") == expected
+    assert load_config(cfg) == parse_config(
+        json.loads(cfg.read_text()), base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("text", [
+    "alpha: [0.05,\n", "models: a: b\n", "alpha: \x07\n",
+    "alpha: !!python/object:os.system x\n", "alpha: 2020-02-30\n",
+])
+@pytest.mark.parametrize("command", ["pipeline", "ardl", "unitroot",
+                                     "simulate"])
+def test_unreadable_config_exits_2(loader, tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    argv = {"pipeline": ["pipeline", "--config", str(cfg)],
+            "ardl": ["ardl", "--config", str(cfg)],
+            "unitroot": ["unitroot", "--config", str(cfg),
+                         "--input", str(DATA / "seed13.csv")],
+            "simulate": ["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "out.csv")]}[command]
+    assert main(argv) == 2
+    assert "config parse failure" in capsys.readouterr().err
+
+
+def test_successive_main_calls_share_no_state(monkeypatch):
+    seen = []
+    for name in ("_cmd_pipeline", "_cmd_ardl", "_cmd_unitroot",
+                 "_cmd_simulate", "_cmd_render"):
+        monkeypatch.setattr(cli, name,
+                            lambda args: seen.append(vars(args)) or 0)
+    argvs = [
+        ["pipeline", "--config", "a.yaml", "--force", "--format", "json",
+         "--output", "o.json", "--input", "d.csv"],
+        ["ardl", "--config", "b.yaml"],
+        ["pipeline", "--config", "c.yaml"],
+        ["simulate", "--config", "s.yaml", "--seed", "4", "--output", "x"],
+        ["simulate", "--config", "s.yaml", "--output", "y"],
+        ["render", "--input", "r.json", "--format", "json"],
+        ["unitroot", "--input", "d.csv"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    pipeline_defaults = {"input": None, "output": None, "format": "text",
+                         "force": False}
+    assert seen == [
+        {"command": "pipeline", "config": "a.yaml", "input": "d.csv",
+         "output": "o.json", "format": "json", "force": True},
+        {"command": "ardl", "config": "b.yaml", **pipeline_defaults},
+        {"command": "pipeline", "config": "c.yaml", **pipeline_defaults},
+        {"command": "simulate", "config": "s.yaml", "seed": 4,
+         "output": "x"},
+        {"command": "simulate", "config": "s.yaml", "seed": None,
+         "output": "y"},
+        {"command": "render", "input": "r.json", "output": None,
+         "format": "json"},
+        {"command": "unitroot", "input": "d.csv", "config": None,
+         "output": None, "format": "text"},
+    ]
+    assert cli._build_parser() is cli._build_parser()
