@@ -4,7 +4,9 @@ classification.
 Both tests regress the first difference on the lagged level plus
 deterministic terms; the ADF augments with lagged differences chosen by
 an information criterion, the PP instead corrects the t-ratio
-nonparametrically with the Bartlett-kernel long-run variance. Critical
+nonparametrically with the Bartlett-kernel long-run variance. Neither
+fits the regression by ``ols``: its t-ratio is read from the triangle of
+one QR of [X | Delta-y] with the lagged level ordered last. Critical
 values come from the embedded response-surface table, evaluated at the
 test regression's own sample size. The null is a unit root; a statistic
 below the critical value rejects it (left-tail test).
@@ -13,6 +15,7 @@ below the critical value rejects it (left-tail test).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,12 +27,16 @@ from .errors import ConfigError, PerfectFitDegenerate, SampleTooShort
 from .linreg import (
     CONST_NAME,
     DEFAULT_LEVELS,
+    EXACT_FIT_RTOL,
     TREND_NAME,
     DesignMatrix,
-    RegressionResult,
+    _effects_triangle,
+    _solve_upper,
     default_bandwidth,
     nested_criteria,
     newey_west_lrv,
+    # not called here; perfbench/test_perfbench.py::
+    # test_tracer_wraps_every_namespace_and_restores_it wraps it here
     ols,
 )
 
@@ -52,7 +59,8 @@ class Deterministic(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class UnitRootResult:
-    """Outcome of one unit-root test on one series.
+    """Outcome of one unit-root test on one series: the numbers a report
+    shows, not the test regression, which is never fit.
 
     verdict_at[alpha] is ``stationary`` exactly when the statistic lies
     below the alpha critical value, so verdicts are monotone across
@@ -67,7 +75,6 @@ class UnitRootResult:
     verdict_at: dict[float, str]
     selection_rule: str
     nobs: int
-    regression: RegressionResult
 
     def stationary_at(self, alpha: float) -> bool:
         return self.verdict_at[alpha] == "stationary"
@@ -118,12 +125,7 @@ class UnitRootConfig:
             raise ConfigError(f"unit_root.rule must be AIC, SBC or fixed, "
                               f"got {self.rule!r}")
         for key in ("max_lag", "bandwidth"):
-            value = getattr(self, key)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)
-                                      or value < 0):
-                raise ConfigError(f"unit_root.{key} must be a whole number "
-                                  f">= 0, got {value!r}")
+            _whole_number(f"unit_root.{key}", getattr(self, key), ConfigError)
 
 
 def default_max_lag(n: int) -> int:
@@ -139,35 +141,65 @@ def _verdicts(statistic: float, cvs: dict[float, float]) -> dict[float, str]:
 def _dickey_fuller_design(y: np.ndarray, spec: Deterministic,
                           k: int) -> tuple[np.ndarray, DesignMatrix]:
     """Dependent Delta-y and regressors for an order-k augmentation, on
-    the longest sample that order allows (levels k+1..n-1).
-
-    The columns are ordered C, [TREND], Y(-1), DY(-1..k), so the design
-    of every lower order is a leading block of this one.
+    the longest sample that order allows (levels k+1..n-1), as views of
+    one array [X | Delta-y]. The columns are C, [TREND], Y(-1), DY(-1..k),
+    so the design of every lower order is a leading block of this one.
     """
-    n = len(y)
-    dy = np.diff(y)
-    dep = dy[k:]
-    cols = spec.columns(k + 1, n)
-    cols["Y(-1)"] = y[k:-1]
+    det = spec.columns(k + 1, len(y))
+    d = len(det)
+    A = np.empty((len(y) - 1 - k, d + k + 2), order="F")
+    for j, col in enumerate(det.values()):
+        A[:, j] = col
+    A[:, d] = y[k:-1]
+    dy = y[1:] - y[:-1]
     for i in range(1, k + 1):
-        cols[f"DY(-{i})"] = dy[k - i:-i]
-    return dep, DesignMatrix.from_columns(cols)
+        A[:, d + i] = dy[k - i:-i]
+    A[:, -1] = dy[k:]
+    names = (*det, "Y(-1)", *(f"DY(-{i})" for i in range(1, k + 1)))
+    return A[:, -1], DesignMatrix(names, A[:, :-1])
 
 
-def _test_regression(y: np.ndarray, spec: Deterministic,
-                     k: int) -> RegressionResult:
-    """The order-k Dickey-Fuller regression, fit by ``ols``.
+def _level_t(y: np.ndarray, spec: Deterministic, k: int,
+             residuals: bool = False):
+    """(t, se, s, n, e) of the order-k Dickey-Fuller regression, without
+    a fit: the lagged level's t-ratio and standard error, the regression
+    standard error, the sample size and, if asked for, the residuals.
 
-    Raises PerfectFitDegenerate when it fits exactly (the rule of
-    ``wald_f_test``): its t-ratio is then rounding noise, NaN or
-    +-1e16, not evidence.
+    R is the triangle of one Householder QR of [C, TREND, DY(-1..k), Y(-1)
+    | Delta-y], once the design passes the rank check of ``ols`` in its
+    own column order. With p regressors s = |R[p, p]| / sqrt(n - p),
+    se = s / |R[p-1, p-1]| and t = sign(R[p-1, p-1]) R[p-1, p] / s. An
+    exact fit, RSS = R[p, p]^2 at or below 1e-13 max(Delta-y'Delta-y, 1)
+    as in ``wald_f_test``, raises PerfectFitDegenerate.
     """
-    fit = ols(*_dickey_fuller_design(y, spec, k))
-    if fit.fits_exactly:
-        raise PerfectFitDegenerate(
-            f"order-{k} Dickey-Fuller regression fits exactly; "
-            "t-ratio undefined")
-    return fit
+    dep, X = _dickey_fuller_design(y, spec, k)
+    p, j = X.k, X.k - k - 1
+    order = [*range(j), *range(j + 1, p), j]
+    R = _effects_triangle(dep, X, order)
+    if R[p, p] ** 2 <= EXACT_FIT_RTOL * max(float(dep @ dep), 1.0):
+        raise PerfectFitDegenerate(f"order-{k} Dickey-Fuller regression "
+                                   "fits exactly; t-ratio undefined")
+    s = abs(float(R[p, p])) / math.sqrt(X.n - p)
+    r = float(R[p - 1, p - 1])
+    e = (dep - X.matrix[:, order] @ _solve_upper(R[:p, :p], R[:p, p])
+         if residuals else None)
+    return math.copysign(1.0, r) * float(R[p - 1, p]) / s, s / abs(r), s, \
+        X.n, e
+
+
+def _result(test: str, spec: Deterministic, lag_or_bandwidth: int,
+            statistic: float, rule: str, nobs: int) -> UnitRootResult:
+    cvs = adf_critical_values(spec.value, nobs)
+    return UnitRootResult(test, spec, lag_or_bandwidth, statistic, cvs,
+                          _verdicts(statistic, cvs), rule, nobs)
+
+
+def _whole_number(key: str, value, error=ValueError) -> None:
+    """Raise ``error`` unless value is None or a whole number >= 0."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, numbers.Integral)
+                              or value < 0):
+        raise error(f"{key} must be a whole number >= 0, got {value!r}")
 
 
 def _select_lag(y: np.ndarray, spec: Deterministic, max_lag: int,
@@ -178,13 +210,13 @@ def _select_lag(y: np.ndarray, spec: Deterministic, max_lag: int,
     design (linreg.nested_criteria)."""
     dep, design = _dickey_fuller_design(y, spec, max_lag)
     order0 = design.k - max_lag   # columns of the order-0 design
-    scores = nested_criteria(dep, design)[order0:]
-    best = None
-    for k, (aic, sbc) in enumerate(scores):
-        crit = aic if rule == "AIC" else sbc
-        if best is None or crit < best[0] - 1e-12:
-            best = (crit, k)
-    return best[1]
+    crits = [aic if rule == "AIC" else sbc
+             for aic, sbc in nested_criteria(dep, design)[order0:]]
+    best = 0
+    for k, crit in enumerate(crits):
+        if crit < crits[best] - 1e-12:
+            best = k
+    return best
 
 
 def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
@@ -195,9 +227,9 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     (max-lag-trimmed) sample so their information criteria are
     comparable; ties break toward the smaller lag. The scores come from
     one QR of the max-lag design, whose leading column blocks are the
-    lower orders' designs. The chosen order is then fit by ``ols`` on
-    its own longest sample and the t-ratio on the lagged level is the
-    statistic.
+    lower orders' designs. The statistic is the t-ratio on the lagged
+    level in the chosen order's regression on its own longest sample,
+    read from one QR of that regression, not fit (``_level_t``).
 
     Parameters
     ----------
@@ -211,91 +243,61 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
 
     Raises
     ------
+    ValueError
+        Before anything else: max_lag is neither None nor a whole number
+        >= 0 (a bool is not one), or rule is unknown.
     RankDeficient
-        The max-lag design is collinear.
+        The max-lag design, or the chosen order's, is collinear.
     PerfectFitDegenerate
         The chosen order's regression fits exactly.
     """
+    _whole_number("max_lag", max_lag)
+    rule = rule.upper() if rule.lower() != "fixed" else "fixed"
+    if rule not in ("AIC", "SBC", "fixed"):
+        raise ValueError(f"unknown selection rule {rule!r}")
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
     if max_lag is None:
         max_lag = default_max_lag(n)
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
     if n < max_lag + 10:
-        raise SampleTooShort(
-            f"ADF with max_lag={max_lag} needs at least {max_lag + 10} "
-            f"observations, got {n}"
-        )
-    rule = rule.upper() if rule.lower() != "fixed" else "fixed"
-    if rule not in ("AIC", "SBC", "fixed"):
-        raise ValueError(f"unknown selection rule {rule!r}")
-
+        raise SampleTooShort(f"ADF with max_lag={max_lag} needs at least "
+                             f"{max_lag + 10} observations, got {n}")
     chosen = (max_lag if rule == "fixed"
               else _select_lag(y, spec, max_lag, rule))
-    fit = _test_regression(y, spec, chosen)
-    statistic = fit.t_stats["Y(-1)"]
-    cvs = adf_critical_values(spec.value, fit.n)
-    return UnitRootResult(
-        test="ADF",
-        spec=spec,
-        lag_or_bandwidth=chosen,
-        statistic=statistic,
-        critical_values=cvs,
-        verdict_at=_verdicts(statistic, cvs),
-        selection_rule=rule,
-        nobs=fit.n,
-        regression=fit,
-    )
+    t_stat, _, _, nobs, _ = _level_t(y, spec, chosen)
+    return _result("ADF", spec, chosen, t_stat, rule, nobs)
 
 
 def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
             bandwidth: int | None = None) -> UnitRootResult:
     """Phillips-Perron test (Z_t form).
 
-    Fits the unaugmented difference regression and corrects its t-ratio
-    with the Bartlett long-run variance of the residuals:
+    Corrects the t-ratio of the unaugmented difference regression with
+    the Bartlett long-run variance of its residuals:
 
         Z_t = sqrt(g0/l2) t - (l2 - g0) n se / (2 sqrt(l2) s)
 
     where g0 is the short-run residual variance (divisor n), l2 the
     long-run variance at the chosen bandwidth, se the OLS standard error
     of the lagged-level coefficient and s the regression standard error.
-    With zero bandwidth l2 == g0 and Z_t is the plain t-ratio. An exact
-    fit raises PerfectFitDegenerate, as in ``adf_test``.
+    With zero bandwidth l2 == g0 and Z_t is the plain t-ratio. All come
+    from one QR of the regression, not a fit (``_level_t``). A bandwidth
+    neither None nor a whole number >= 0 raises ValueError before
+    anything else; an exact fit raises PerfectFitDegenerate.
     """
-    y = np.asarray(s.values, dtype=np.float64)
-    n = len(y)
+    _whole_number("bandwidth", bandwidth)
+    n = len(s.values)
     if n < 15:
         raise SampleTooShort(f"PP needs at least 15 observations, got {n}")
-    fit = _test_regression(y, spec, 0)
+    t_stat, se, s_reg, m, resid = _level_t(
+        np.asarray(s.values, dtype=np.float64), spec, 0, residuals=True)
     if bandwidth is None:
-        bandwidth = default_bandwidth(fit.n)
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be nonnegative")
-
-    resid = fit.residuals
+        bandwidth = default_bandwidth(m)
     gamma0 = newey_west_lrv(resid, 0)
     lam2 = newey_west_lrv(resid, bandwidth)
-    t_stat = fit.t_stats["Y(-1)"]
-    se = fit.std_errors["Y(-1)"]
-    s_reg = math.sqrt(fit.sigma2)
-    statistic = (
-        math.sqrt(gamma0 / lam2) * t_stat
-        - (lam2 - gamma0) * fit.n * se / (2.0 * math.sqrt(lam2) * s_reg)
-    )
-    cvs = adf_critical_values(spec.value, fit.n)
-    return UnitRootResult(
-        test="PP",
-        spec=spec,
-        lag_or_bandwidth=bandwidth,
-        statistic=statistic,
-        critical_values=cvs,
-        verdict_at=_verdicts(statistic, cvs),
-        selection_rule="fixed",
-        nobs=fit.n,
-        regression=fit,
-    )
+    statistic = (math.sqrt(gamma0 / lam2) * t_stat
+                 - (lam2 - gamma0) * m * se / (2.0 * math.sqrt(lam2) * s_reg))
+    return _result("PP", spec, bandwidth, statistic, "fixed", m)
 
 
 def _run_test(s: TimeSeries, cfg: UnitRootConfig) -> UnitRootResult:

@@ -188,6 +188,23 @@ def test_has_constant(columns, expected):
                for col in X.matrix.T) is expected
 
 
+@pytest.mark.parametrize("zero_column", [False, True])
+@pytest.mark.parametrize("level", [2.5, 0.0])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "absent"])
+def test_has_constant_column_zero_first(where, level, zero_column):
+    # the check of column 0 before the others answers as the one
+    # expression over every column
+    cols = [_RAMP, _ALMOST, _RAMP ** 2] + [np.zeros(N_CONST)] * zero_column
+    at = {"first": 0, "middle": 2, "last": len(cols), "absent": None}[where]
+    if at is not None:
+        cols.insert(at, np.full(N_CONST, level))
+    m = np.column_stack(cols)
+    X = DesignMatrix(tuple(f"X{j}" for j in range(m.shape[1])), m)
+    assert X.has_constant() is bool(
+        ((m[0] != 0.0) & (m == m[0]).all(axis=0)).any())
+    assert X.has_constant() is (at is not None and level != 0.0)
+
+
 class TestInformationCriteria:
     def test_stated_formulas(self):
         rr = _fake_result(log_l=-100.0, k=3, n=50)

@@ -192,15 +192,15 @@ class TestPipelineRun:
 
     def test_one_run_fit_count(self, monkeypatch):
         # each ADF call and each ARDL (p, q) search scores its
-        # candidates from one factorization, only the chosen ones are
-        # fit, and the bounds F and the battery read the model's own
-        # factorization: 8 ADF, 8 PP and 2 ARDL-stage fits (estimate_ardl
-        # and estimate_ecm; 165 when every candidate was fit, 29 when
+        # candidates from one factorization, ADF and PP read their
+        # statistics from one triangle, and the bounds F and the battery
+        # read the model's own factorization: only estimate_ardl and
+        # estimate_ecm fit (165 when every candidate was fit, 29 when
         # only the ADF search was not, 23 while the tests on a model
-        # refit it)
+        # refit it, 18 while ADF and PP fit their chosen regression)
         calls = count_ols(monkeypatch)
         run_pipeline(load_config(DATA / "seed13_config.yaml"))
-        assert calls["ols"] == 18
+        assert calls["ols"] == 2
 
     @pytest.mark.parametrize("T, max_p, max_q", [(60, 1, 0), (200, 3, 2)])
     def test_tests_on_a_fitted_model_fit_nothing(self, monkeypatch, T,

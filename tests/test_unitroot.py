@@ -107,13 +107,14 @@ def _oracle_design(y, spec, k, start):
 
 def _oracle_adf(s, spec, max_lag, rule):
     """(lag, statistic) by one ols fit per candidate lag on the common
-    max-lag sample, then an ols refit of the chosen lag; an exact refit
-    (the rule of wald_f_test) has no statistic."""
+    max-lag sample (none under the fixed rule), then an ols refit of the
+    chosen lag; an exact refit (the rule of wald_f_test) has no
+    statistic."""
     y = s.values
     if max_lag is None:
         max_lag = default_max_lag(len(y))
-    best = None
-    for k in range(max_lag + 1):
+    best = (None, max_lag) if rule == "fixed" else None
+    for k in range(max_lag + 1 if best is None else 0):
         fit = ols(*_oracle_design(y, spec, k, max_lag + 1))
         crit = fit.aic if rule == "AIC" else fit.sbc
         if best is None or crit < best[0] - 1e-12:
@@ -130,13 +131,22 @@ def _adf_lag_and_statistic(s, spec, max_lag, rule):
     return res.lag_or_bandwidth, res.statistic
 
 
-def _outcome(search, s, spec, max_lag, rule) -> str:
-    """repr of (lag, statistic), or of the ardlkit error's type; repr
-    keeps every bit of the statistic and lets NaN equal NaN."""
+def _outcome(search, s, spec, max_lag, rule):
+    """(lag, statistic), or repr of the ardlkit error's type."""
     try:
-        return repr(search(s, spec, max_lag, rule))
+        return search(s, spec, max_lag, rule)
     except ArdlkitError as exc:
         return repr(type(exc))
+
+
+def _same_outcome(got, want) -> bool:
+    """The same error type, or the same lag and a statistic within
+    1e-12 of the oracle's, relative to max(|oracle|, 1): the triangle
+    and the oracle's ols fit round differently."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return got[0] == want[0] and \
+        abs(got[1] - want[1]) <= 1e-12 * max(abs(want[1]), 1.0)
 
 
 def _simulated(kind, n, seed):
@@ -184,8 +194,9 @@ class TestLagSelectionOracle:
         # short samples with a trend raise SampleTooShort on both sides
         n = (_DEFAULT_MIN_T if max_lag is None else max_lag + 10) + extra
         s = make_series(_simulated(kind, n, seed))
-        assert _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule) == \
-            _outcome(_oracle_adf, s, spec, max_lag, rule)
+        assert _same_outcome(
+            _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule),
+            _outcome(_oracle_adf, s, spec, max_lag, rule))
 
     @pytest.mark.parametrize("scores, chosen", [
         ((0.0, 0.0, 0.0, 0.0), 0),
@@ -219,7 +230,8 @@ class TestLagSelectionOracle:
                          "alternating": (-1.0) ** t,
                          "period3": np.tile([1.0, 4.0, -2.0], 20)}[shape])
         outcome = _outcome(_adf_lag_and_statistic, s, spec, max_lag, rule)
-        assert outcome == _outcome(_oracle_adf, s, spec, max_lag, rule)
+        assert _same_outcome(outcome,
+                             _outcome(_oracle_adf, s, spec, max_lag, rule))
         # these test regressions fit exactly: their t-ratio used to come
         # out as NaN or about -1e16
         assert (outcome == repr(PerfectFitDegenerate)) == (
@@ -242,6 +254,100 @@ def test_exact_test_regression_has_no_statistic(shape, spec):
         adf_test(s, spec, max_lag=0)
     with pytest.raises(PerfectFitDegenerate):
         pp_test(s, spec)
+
+
+def _oracle_pp(y, spec, bandwidth):
+    """(Z_t, nobs) from an ols fit of the order-0 regression and the
+    README formula, with the long-run variance summed here."""
+    fit = ols(*_oracle_design(y, spec, 0, 1))
+    d = fit.residuals - fit.residuals.mean()
+    n = d.size
+    g0 = float(d @ d) / n
+    l2 = g0 + sum(2.0 * (1.0 - j / (bandwidth + 1.0)) * float(d[j:] @ d[:-j])
+                  / n for j in range(1, bandwidth + 1))
+    s_reg = np.sqrt(fit.sigma2)
+    z = (np.sqrt(g0 / l2) * fit.t_stats["Y(-1)"]
+         - (l2 - g0) * n * fit.std_errors["Y(-1)"]
+         / (2.0 * np.sqrt(l2) * s_reg))
+    return z, fit.n
+
+
+class TestTriangleAgainstOls:
+    """The statistics read from one triangle of [X | Delta-y] against an
+    ols fit of the same regression."""
+
+    @pytest.mark.parametrize("max_lag", [0, 2, None])
+    @pytest.mark.parametrize("rule", ["AIC", "SBC", "fixed"])
+    @pytest.mark.parametrize("spec", list(Deterministic))
+    def test_adf_statistic_lag_and_nobs(self, spec, rule, max_lag):
+        for seed in range(20):
+            for kind in ("walk", "ar"):
+                s = make_series(_simulated(kind, 150, seed))
+                adf = adf_test(s, spec, max_lag, rule)
+                lag, t = _oracle_adf(s, spec, max_lag, rule)
+                assert adf.lag_or_bandwidth == lag
+                assert adf.nobs == 149 - lag
+                assert adf.statistic == pytest.approx(t, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", list(Deterministic))
+    def test_pp_statistic_and_nobs(self, spec):
+        for seed in range(20):
+            for kind in ("walk", "ar"):
+                s = make_series(_simulated(kind, 150, seed))
+                pp = pp_test(s, spec)
+                z, nobs = _oracle_pp(s.values, spec, pp.lag_or_bandwidth)
+                assert pp.nobs == nobs == 149
+                assert pp.statistic == pytest.approx(z, rel=1e-11)
+
+    @pytest.mark.parametrize("max_lag", [0, 2])
+    @pytest.mark.parametrize("spec", list(Deterministic))
+    @pytest.mark.parametrize("shape", [
+        "constant", "linear", "quadratic", "period3"])
+    def test_rank_deficient_names_the_columns_ols_names(self, shape, spec,
+                                                        max_lag):
+        # the fixed rule runs no search, so the chosen order's design gets
+        # the first rank check
+        t = np.arange(60.0)
+        y = {"constant": np.full(60, 5.0),
+             "linear": 2.0 + 0.5 * t,
+             "quadratic": 1.0 + 0.1 * t + 0.02 * t ** 2,
+             "period3": np.tile([1.0, 4.0, -2.0], 20)}[shape]
+        tests = [(lambda: adf_test(make_series(y), spec, max_lag, "fixed"),
+                  max_lag)]
+        if max_lag == 0:
+            tests.append((lambda: pp_test(make_series(y), spec), 0))
+        for run, lag in tests:
+            want = got = None
+            try:
+                ols(*_oracle_design(y, spec, lag, lag + 1))
+            except RankDeficient as exc:
+                want = exc.columns
+            try:
+                run()
+            except RankDeficient as exc:
+                got = exc.columns
+            except PerfectFitDegenerate:
+                pass
+            assert got == want
+
+
+@pytest.mark.parametrize("value, valid", [
+    (-1, False), (2.5, False), (True, False), (None, True), (0, True),
+    (3, True)])
+def test_lag_arguments_are_checked_before_any_work(value, valid):
+    # a constant series under spec none fits exactly, and 9 observations
+    # are too few for either test: an invalid argument is reported first
+    degenerate = make_series(np.full(60, 5.0))
+    short = make_series(np.arange(9.0))
+    for run in (lambda s: adf_test(s, Deterministic.NONE, max_lag=value),
+                lambda s: pp_test(s, Deterministic.NONE, bandwidth=value)):
+        for s in (degenerate, short):
+            with pytest.raises(ArdlkitError if valid else ValueError) as exc:
+                run(s)
+            assert isinstance(exc.value, ValueError) is not valid
+        if valid:
+            res = run(generate(Ar1(T=100, seed=4, phi=0.5))["Y"])
+            assert value is None or res.lag_or_bandwidth <= value
 
 
 class TestCriticalValues:
@@ -273,8 +379,10 @@ class TestPhillipsPerron:
     def test_zero_bandwidth_equals_plain_t(self):
         s = generate(Ar1(T=300, seed=21, phi=0.5))["Y"]
         res = pp_test(s, bandwidth=0)
-        fit = res.regression
-        assert res.statistic == pytest.approx(fit.t_stats["Y(-1)"], abs=1e-6)
+        fit = ols(*_oracle_design(s.values, Deterministic.CONSTANT, 0, 1))
+        assert res.nobs == fit.n
+        assert res.statistic == pytest.approx(fit.t_stats["Y(-1)"],
+                                              rel=1e-12)
 
     def test_close_to_adf_on_same_sample(self):
         s = generate(Ar1(T=500, seed=42, phi=0.5))["Y"]
