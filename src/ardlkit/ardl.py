@@ -29,11 +29,7 @@ from scipy import special
 
 from .critvals import pss_bounds
 from .dataio import Dataset
-from .errors import (
-    DegenerateAdjustment,
-    InvalidParameters,
-    SampleTooShort,
-)
+from .errors import DegenerateAdjustment, InvalidParameters
 from .linreg import (
     CONST_NAME,
     DesignMatrix,
@@ -43,7 +39,7 @@ from .linreg import (
     subset_criteria,
     wald_f_test,
 )
-from .unitroot import Deterministic
+from .unitroot import Deterministic, _differenced
 
 
 @dataclass(frozen=True)
@@ -150,55 +146,37 @@ def _aligned_values(d: Dataset, names) -> dict[str, np.ndarray]:
     return {v: np.asarray(d[v].values, dtype=np.float64) for v in names}
 
 
+def _lag_name(name: str, lag: int) -> str:
+    return f"{name}(-{lag})" if lag else name
+
+
 def _ecm_design(values: dict[str, np.ndarray], spec: ArdlSpec,
                 start: int) -> tuple[np.ndarray, DesignMatrix]:
-    """Dependent difference and conditional-ECM regressors from ``start``."""
+    """Dependent difference and conditional-ECM regressors from ``start``:
+    det, DY(-1..-(p-1)), per regressor DX(0..-(q-1)), Y(-1), levels."""
     y = values[spec.dependent]
-    n = len(y)
-    if start >= n:
-        raise SampleTooShort("lag structure leaves no usable observations")
-    dy = np.diff(y)
-    dep = dy[start - 1:]
-
-    cols = spec.det.columns(start, n)
-    for i in range(1, spec.p):
-        cols[f"D{spec.dependent}(-{i})"] = dy[start - 1 - i:n - 1 - i]
-    for x in spec.regressors:
-        q = spec.q[x]
-        if q >= 1:
-            dx = np.diff(values[x])
-            cols[f"D{x}"] = dx[start - 1:]
-            for i in range(1, q):
-                cols[f"D{x}(-{i})"] = dx[start - 1 - i:n - 1 - i]
-    cols[f"{spec.dependent}(-1)"] = y[start - 1:n - 1]
+    dy = _differenced(y)
+    terms = [(f"D{spec.dependent}(-{i})", dy, i) for i in range(1, spec.p)]
     for x in spec.regressors:
         if spec.q[x] >= 1:
-            cols[f"{x}(-1)"] = values[x][start - 1:n - 1]
-        else:
-            # q = 0: the regressor enters through its current level only;
-            # adding a separate difference column would silently promote
-            # the model to q = 1
-            cols[x] = values[x][start:]
-    return dep, DesignMatrix.from_columns(cols)
+            dx = _differenced(values[x])
+            terms += [(_lag_name(f"D{x}", i), dx, i)
+                      for i in range(spec.q[x])]
+    terms.append((f"{spec.dependent}(-1)", y, 1))
+    # q = 0: the regressor enters through its current level only; adding
+    # a separate difference column would silently promote the model to
+    # q = 1
+    terms += [(spec.level_name(x), values[x], min(spec.q[x], 1))
+              for x in spec.regressors]
+    return spec.det._design(start, dy, terms)
 
 
-def _levels_design(values: dict[str, np.ndarray], spec: ArdlSpec,
-                   start: int) -> tuple[np.ndarray, DesignMatrix]:
-    """Plain levels-form regressors: y on own lags and regressor lags."""
+def _levels_terms(values: dict[str, np.ndarray], spec: ArdlSpec) -> list:
+    """Levels-form terms: Y(-1..-p), then X(0..-q) per regressor."""
     y = values[spec.dependent]
-    n = len(y)
-    if start >= n:
-        raise SampleTooShort("lag structure leaves no usable observations")
-    dep = y[start:]
-    cols = spec.det.columns(start, n)
-    for i in range(1, spec.p + 1):
-        cols[f"{spec.dependent}(-{i})"] = y[start - i:n - i]
-    for x in spec.regressors:
-        xv = values[x]
-        cols[x] = xv[start:]
-        for i in range(1, spec.q[x] + 1):
-            cols[f"{x}(-{i})"] = xv[start - i:n - i]
-    return dep, DesignMatrix.from_columns(cols)
+    return [(f"{spec.dependent}(-{i})", y, i) for i in range(1, spec.p + 1)] \
+        + [(_lag_name(x, i), values[x], i)
+           for x in spec.regressors for i in range(spec.q[x] + 1)]
 
 
 def estimate_ardl(d: Dataset, spec: ArdlSpec) -> ArdlModel:
@@ -217,8 +195,8 @@ def estimate_levels(d: Dataset, spec: ArdlSpec) -> RegressionResult:
     """Fit the equivalent levels form (used for cross-checking; shares
     residuals with estimate_ardl on the same data)."""
     values = _aligned_values(d, (spec.dependent, *spec.regressors))
-    dep, design = _levels_design(values, spec, spec.max_order)
-    return ols(dep, design)
+    return ols(*spec.det._design(spec.max_order, values[spec.dependent],
+                                 _levels_terms(values, spec)))
 
 
 def select_lags(d: Dataset, max_p: int, max_q: int,
@@ -255,15 +233,16 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
     values = _aligned_values(d, (dependent, *regressors))
     largest = ArdlSpec(dependent, regressors, max_p,
                        {x: max_q for x in regressors}, det)
-    levels, design = _levels_design(values, largest, largest.max_order)
-    dy = levels - design.column(f"{dependent}(-1)")
+    dy, design = det._design(largest.max_order,
+                             _differenced(values[dependent]),
+                             _levels_terms(values, largest))
 
     # the deterministic columns and Y(-1) lead the levels design
     index = {name: j for j, name in enumerate(design.names)}
     head = list(range(index[f"{dependent}(-1)"] + 1))
     tail = [index[f"{dependent}(-{i})"] for i in range(2, max_p + 1)]
     grid = list(itertools.product(range(max_q + 1), repeat=len(regressors)))
-    orderings = [head + [index[x if i == 0 else f"{x}(-{i})"]
+    orderings = [head + [index[_lag_name(x, i)]
                          for x, q in zip(regressors, qs)
                          for i in range(q + 1)] + tail
                  for qs in grid]

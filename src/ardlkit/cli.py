@@ -2,8 +2,8 @@
 
 Subcommands:
     unitroot   ADF and PP tests on every column of a CSV file
-    ardl       lag selection, bounds test, long-run and ECM per config
-    pipeline   the full chain including unit-root screening and diagnostics
+    ardl       lag selection, bounds test, long run, ECM and diagnostics
+    pipeline   unit-root screening, then everything ardl runs
     simulate   write a seeded synthetic dataset as CSV
     render     re-render a saved JSON report as text (or JSON)
 
@@ -31,6 +31,8 @@ from .errors import (
     NumericalError,
 )
 from .pipeline import (
+    _analyse_models,
+    _build_variables,
     load_config,
     read_config_file,
     run_pipeline,
@@ -125,11 +127,12 @@ def _cmd_ardl(args) -> int:
         cfg = dataclasses.replace(cfg, input_path=args.input)
     if args.force:
         cfg = dataclasses.replace(cfg, force=True)
-    # The ardl subcommand is the pipeline minus the screening gate: run
-    # everything, then strip the unit-root section from the payload.
-    result = run_pipeline(cfg)
-    payload = report_mod.to_payload(result)
-    payload.pop("unit_root", None)
+    # the pipeline without the unit-root screening, and so without its
+    # section of the report or its I(2) refusal
+    ds = dataio.load_csv(cfg.input_path, cfg.ingestion)
+    payload = report_mod.to_payload(_analyse_models(
+        cfg, ds, _build_variables(ds, cfg.variables), {}, ()))
+    del payload["unit_root"]
     _emit(report_mod.render_payload(payload, args.format), args.output)
     return EXIT_OK
 

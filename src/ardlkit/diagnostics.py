@@ -6,11 +6,13 @@ form (Ramsey RESET), normality (Jarque-Bera), heteroscedasticity
 squares on recursive residuals). Each test stands alone; run_battery
 bundles them into one report with an overall verdict.
 
-No test refits the model. The auxiliary regressions of Breusch-Godfrey,
-Breusch-Pagan and RESET are read from the fit's own QR with the lagged
-residuals, nothing, or the powers of the fitted values appended
-(``linreg.appended_effects``); the recursive residuals come from one
-blocked QR of the row prefixes (``linreg.prefix_residuals``).
+Every test diagnoses the fit it is given on that fit's own design;
+none takes another design. No test refits the model. The auxiliary
+regressions of Breusch-Godfrey, Breusch-Pagan and RESET are read from
+the fit's own QR with the lagged residuals, nothing, or the powers of
+the fitted values appended (``linreg.appended_effects``); the recursive
+residuals come from one blocked QR of the row prefixes
+(``linreg.prefix_residuals``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     ZeroVariance,
 )
 from .linreg import (
-    DEFAULT_LEVELS,
     EXACT_FIT_RTOL,
     DesignMatrix,
     RegressionResult,
@@ -77,43 +78,42 @@ class DiagnosticsReport:
     verdict: str
 
 
-def breusch_godfrey(rr: RegressionResult, X: DesignMatrix | None = None,
-                    lags: int = 1) -> TestStatistic:
+def _decided(name: str, statistic: float, distribution: str,
+             p: float) -> TestStatistic:
+    """A statistic with a standard reference distribution, decided at the
+    default levels by its p-value."""
+    return TestStatistic(name, float(statistic), distribution, p,
+                         decisions_from_pvalue(p))
+
+
+def breusch_godfrey(rr: RegressionResult, lags: int = 1) -> TestStatistic:
     """LM test for residual serial correlation up to ``lags``.
 
-    The auxiliary regression puts the residuals on the original design
+    The auxiliary regression puts the residuals on the fit's design
     plus their own lags (zero-padded before the sample), and LM = n R^2
     is referred to chi2(lags). Its RSS comes from the fit's own QR with
     the lag block appended (``linreg.auxiliary_r_squared``); nothing is
     refit.
     """
-    X = X if X is not None else rr.design
     if lags < 1:
         raise ValueError("lags must be >= 1")
     e = rr.residuals
     n = e.shape[0]
-    if n <= X.k + lags + 1:
+    if n <= rr.k + lags + 1:
         raise SampleTooShort(
             f"breusch_godfrey with {lags} lags needs more than "
-            f"{X.k + lags + 1} observations, got {n}"
+            f"{rr.k + lags + 1} observations, got {n}"
         )
     lagged = np.zeros((n, lags))
     for j in range(1, lags + 1):
         lagged[j:, j - 1] = e[:-j]
     names = [f"RESID(-{j})" for j in range(1, lags + 1)]
-    lm = n * auxiliary_r_squared(rr, X, e, names, lagged)
+    lm = n * auxiliary_r_squared(rr, e, names, lagged)
     p = float(special.chdtrc(lags, lm))
-    return TestStatistic(
-        name="breusch_godfrey",
-        statistic=float(lm),
-        distribution=f"chi2({lags})",
-        p_value=p,
-        decision_at=decisions_from_pvalue(p),
-    )
+    return _decided("breusch_godfrey", lm, f"chi2({lags})", p)
 
 
-def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
-                 powers=(2,)) -> TestStatistic:
+def ramsey_reset(rr: RegressionResult, powers=(2,)) -> TestStatistic:
     """RESET functional-form test: F on powers of the fitted values.
 
     powers must be a nonempty subset of {2, 3, 4}. The fitted values
@@ -121,11 +121,10 @@ def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
     invariant to that rescaling and conditioning improves.
 
     The restricted model is the fit given. The augmented one is its
-    residuals on the powers appended to X (``linreg.appended_effects``):
-    with effects z, RSS_r - RSS_aug = ||z[:a]||^2 and RSS_aug = z[a]^2.
-    So nothing is refit, and X should span the fit's design.
+    residuals on the powers appended to the fit's design
+    (``linreg.appended_effects``): with effects z, RSS_r - RSS_aug =
+    ||z[:a]||^2 and RSS_aug = z[a]^2. So nothing is refit.
     """
-    X = X if X is not None else rr.design
     powers = tuple(sorted(set(powers)))
     if not powers or not set(powers) <= {2, 3, 4}:
         raise ValueError(f"powers must be a nonempty subset of {{2,3,4}}")
@@ -138,7 +137,7 @@ def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
     if rr.rss <= EXACT_FIT_RTOL * yy:
         raise PerfectFitDegenerate("zero residual variance")
     f_scaled = fitted / scale
-    z = appended_effects(rr, X, rr.residuals,
+    z = appended_effects(rr, rr.residuals,
                          [f"FITTED^{pwr}" for pwr in powers],
                          np.column_stack([f_scaled ** pwr for pwr in powers]))
     q = len(powers)
@@ -147,16 +146,10 @@ def ramsey_reset(rr: RegressionResult, X: DesignMatrix | None = None,
         raise PerfectFitDegenerate(
             "unrestricted model fits exactly; F ratio undefined"
         )
-    df = rr.n - X.k - q
+    df = rr.n - rr.k - q
     f_stat = float(z[:q] @ z[:q]) / q / (rss_aug / df)
     p = float(special.fdtrc(q, df, f_stat))
-    return TestStatistic(
-        name="ramsey_reset",
-        statistic=float(f_stat),
-        distribution=f"F({q}, {df})",
-        p_value=p,
-        decision_at=decisions_from_pvalue(p),
-    )
+    return _decided("ramsey_reset", f_stat, f"F({q}, {df})", p)
 
 
 def jarque_bera(residuals) -> TestStatistic:
@@ -173,38 +166,24 @@ def jarque_bera(residuals) -> TestStatistic:
     kurt = float(np.mean(d**4)) / m2**2
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     p = float(special.chdtrc(2, jb))
-    return TestStatistic(
-        name="jarque_bera",
-        statistic=float(jb),
-        distribution="chi2(2)",
-        p_value=p,
-        decision_at=decisions_from_pvalue(p),
-    )
+    return _decided("jarque_bera", jb, "chi2(2)", p)
 
 
-def breusch_pagan(rr: RegressionResult,
-                  X: DesignMatrix | None = None) -> TestStatistic:
-    """LM heteroscedasticity test: squared residuals on the design.
+def breusch_pagan(rr: RegressionResult) -> TestStatistic:
+    """LM heteroscedasticity test: squared residuals on the fit's design.
 
     LM = n R^2 of the auxiliary regression, chi2 with one degree of
     freedom per non-constant regressor. Its RSS is that of e^2 less its
     projection on the fit's own Q (``linreg.auxiliary_r_squared``).
     """
-    X = X if X is not None else rr.design
-    df = X.k - 1 if X.has_constant() else X.k
+    df = rr.k - 1 if rr.design.has_constant() else rr.k
     if df < 1:
         raise ConfigError("breusch_pagan needs at least one non-constant "
                           "regressor")
     e2 = rr.residuals**2
-    lm = len(e2) * auxiliary_r_squared(rr, X, e2)
+    lm = len(e2) * auxiliary_r_squared(rr, e2)
     p = float(special.chdtrc(df, lm))
-    return TestStatistic(
-        name="breusch_pagan",
-        statistic=float(lm),
-        distribution=f"chi2({df})",
-        p_value=p,
-        decision_at=decisions_from_pvalue(p),
-    )
+    return _decided("breusch_pagan", lm, f"chi2({df})", p)
 
 
 def recursive_residuals(y, X: DesignMatrix) -> np.ndarray:
@@ -233,12 +212,10 @@ def recursive_residuals(y, X: DesignMatrix) -> np.ndarray:
     return prefix_residuals(y, X)
 
 
-def cusum(rr: RegressionResult, X: DesignMatrix | None = None,
-          alpha: float = 0.05) -> StabilityResult:
+def cusum(rr: RegressionResult, alpha: float = 0.05) -> StabilityResult:
     """Cumulative sum of scaled recursive residuals with straight-line
     bounds +/- a (sqrt(m) + 2 r / sqrt(m)), m = n - k."""
-    X = X if X is not None else rr.design
-    return _cusum(recursive_residuals(rr.y, X), alpha)
+    return _cusum(recursive_residuals(rr.y, rr.design), alpha)
 
 
 def _cusum(w: np.ndarray, alpha: float) -> StabilityResult:
@@ -257,12 +234,10 @@ def _cusum(w: np.ndarray, alpha: float) -> StabilityResult:
     return StabilityResult("CUSUM", path, lower, upper, stable, alpha)
 
 
-def cusumsq(rr: RegressionResult, X: DesignMatrix | None = None,
-            alpha: float = 0.05) -> StabilityResult:
+def cusumsq(rr: RegressionResult, alpha: float = 0.05) -> StabilityResult:
     """Cumulative squared recursive-residual share against parallel
     bounds r/m +/- c0 from the embedded table (5% only)."""
-    X = X if X is not None else rr.design
-    return _cusumsq(recursive_residuals(rr.y, X), alpha)
+    return _cusumsq(recursive_residuals(rr.y, rr.design), alpha)
 
 
 def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
@@ -282,23 +257,22 @@ def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
     return StabilityResult("CUSUMSQ", path, lower, upper, stable, alpha)
 
 
-def run_battery(rr: RegressionResult, X: DesignMatrix | None = None,
-                bg_lags: int = 2, reset_powers=(2,), alpha: float = 0.05,
+def run_battery(rr: RegressionResult, bg_lags: int = 2, reset_powers=(2,),
+                alpha: float = 0.05,
                 include: tuple[str, ...] = (
                     "serial_correlation", "functional_form", "normality",
                     "heteroscedasticity", "stability",
                 )) -> DiagnosticsReport:
     """Run the full diagnostics battery on one regression."""
-    X = X if X is not None else rr.design
-    sc = breusch_godfrey(rr, X, bg_lags) \
+    sc = breusch_godfrey(rr, bg_lags) \
         if "serial_correlation" in include else None
-    ff = ramsey_reset(rr, X, reset_powers) \
+    ff = ramsey_reset(rr, reset_powers) \
         if "functional_form" in include else None
     nm = jarque_bera(rr.residuals) if "normality" in include else None
-    ht = breusch_pagan(rr, X) if "heteroscedasticity" in include else None
+    ht = breusch_pagan(rr) if "heteroscedasticity" in include else None
     cs = csq = None
     if "stability" in include:
-        w = recursive_residuals(rr.y, X)
+        w = recursive_residuals(rr.y, rr.design)
         cs, csq = _cusum(w, alpha), _cusumsq(w, 0.05)
 
     ok = True

@@ -628,26 +628,15 @@ def wald_f_test(rr: RegressionResult, restricted_names,
     )
 
 
-def _basis(rr: RegressionResult, X: DesignMatrix) -> tuple[np.ndarray, float]:
-    """An orthonormal basis Q of X's columns and X's largest column norm:
-    the fit's own factor when X is its design, else one pivoted QR of X
-    with the finiteness and rank checks of ``ols``."""
-    if X is rr.design:
-        return rr.q_factor, abs(float(rr.r_factor[0, 0]))
-    qr, tau, piv = _householder(X.matrix, pivoting=True)
-    _check_rank(qr, piv, X.names)
-    return _q_factor(qr, tau), abs(float(qr[0, 0]))
-
-
-def appended_effects(rr: RegressionResult, X: DesignMatrix, dependent,
-                     names, block) -> np.ndarray:
+def appended_effects(rr: RegressionResult, dependent, names,
+                     block) -> np.ndarray:
     """Effects of ``dependent`` on the columns ``block`` (n x a, named
-    ``names``) appended to X, without a fit (Frisch-Waugh-Lovell): z,
-    a + 1 entries, where ||z[:a]||^2 is what the block adds to the
-    explained sum of squares of the regression on X and z[a]^2 is the
-    RSS on [X | block].
+    ``names``) appended to the fit's design X, without a fit
+    (Frisch-Waugh-Lovell): z, a + 1 entries, where ||z[:a]||^2 is what
+    the block adds to the explained sum of squares of the regression on
+    X and z[a]^2 is the RSS on [X | block].
 
-    With Q a basis of X (see ``_basis``), M = block - Q(Q'block) and
+    With Q the fit's own orthonormal factor, M = block - Q(Q'block) and
     v = dependent - Q(Q'dependent); z is the last column of the triangle
     of one Householder QR of [M | v]. The rank rule for the block: a
     column is collinear when its distance from the span of X and the
@@ -664,47 +653,42 @@ def appended_effects(rr: RegressionResult, X: DesignMatrix, dependent,
     DimensionMismatch
         dependent does not match X's row count.
     RankDeficient
-        X fails the rank check of ``ols``, or a block column is
-        collinear by the rule above; names the columns.
-    ValueError
-        X holds a NaN or an infinity.
+        A block column is collinear by the rule above; names the columns.
     """
     n, a = block.shape
-    if n <= X.k + a:
-        raise SampleTooShort(f"need n > k, got n={n}, k={X.k + a}")
-    dependent = _dependent(dependent, X)
-    Q, scale = _basis(rr, X)
+    if n <= rr.k + a:
+        raise SampleTooShort(f"need n > k, got n={n}, k={rr.k + a}")
+    dependent = _dependent(dependent, rr.design)
+    Q = rr.q_factor
     M = block - Q @ (Q.T @ block)
     v = dependent - Q @ (Q.T @ dependent)
     T = _householder(np.column_stack([M, v]))[0]
-    scale = max(scale, float(np.sqrt(np.einsum("ij,ij->j", block, block))
-                             .max()))
+    scale = max(abs(float(rr.r_factor[0, 0])),
+                float(np.sqrt(np.einsum("ij,ij->j", block, block)).max()))
     deficient = np.flatnonzero(np.abs(T.diagonal()[:a]) < RANK_RTOL * scale)
     if deficient.size:
         raise RankDeficient(tuple(names[j] for j in deficient))
     return T[:a + 1, a].copy()
 
 
-def auxiliary_r_squared(rr: RegressionResult, X: DesignMatrix, dependent,
-                        names=(), block=None) -> float:
-    """R^2 of ``dependent`` regressed on X, or on [X | block] when a block
-    is given, by the rule of ``ols`` (centred when that design has a
-    constant), without a fit: the RSS is ||dependent - Q(Q'dependent)||^2
-    for a basis Q of X, or the last effect of ``appended_effects``
-    squared.
+def auxiliary_r_squared(rr: RegressionResult, dependent, names=(),
+                        block=None) -> float:
+    """R^2 of ``dependent`` regressed on the fit's design X, or on
+    [X | block] when a block is given, by the rule of ``ols`` (centred
+    when that design has a constant), without a fit: the RSS is
+    ||dependent - Q(Q'dependent)||^2 for the fit's own Q, or the last
+    effect of ``appended_effects`` squared.
 
     Raises as ``appended_effects``.
     """
+    dependent = _dependent(dependent, rr.design)
+    has_const = rr.design.has_constant()
     if block is None:
-        dependent = _dependent(dependent, X)
-        Q = _basis(rr, X)[0]
-        u = dependent - Q @ (Q.T @ dependent)
+        u = dependent - rr.q_factor @ (rr.q_factor.T @ dependent)
         rss = float(u @ u)
-        has_const = X.has_constant()
     else:
-        dependent = np.asarray(dependent, dtype=np.float64)
-        rss = float(appended_effects(rr, X, dependent, names, block)[-1]) ** 2
-        has_const = X.has_constant() or _has_constant(block)
+        rss = float(appended_effects(rr, dependent, names, block)[-1]) ** 2
+        has_const = has_const or _has_constant(block)
     return _r_squared(dependent, rss, has_const)[0]
 
 

@@ -450,11 +450,8 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     variable classifies beyond I(1); errors from any stage propagate
     with their own types so the CLI can map them to exit codes.
     """
-    from .report import pct   # report imports this module
-
     ds = dataio.load_csv(cfg.input_path, cfg.ingestion)
     variables = _build_variables(ds, cfg.variables)
-    warnings: list[str] = []
 
     used: dict[str, TimeSeries] = {}
     for m in cfg.models:
@@ -484,6 +481,18 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             f"{', '.join(beyond)}; the bounds test is invalid there"
         )
 
+    return _analyse_models(cfg, ds, variables, table, integration)
+
+
+def _analyse_models(cfg: PipelineConfig, ds: Dataset,
+                    variables: dict[str, TimeSeries], table,
+                    integration) -> AnalysisReport:
+    """The report of lag selection, the bounds test, the long run, the
+    ECM and the diagnostics battery for every configured model, next to
+    the unit-root table and integration orders given."""
+    from .report import pct   # report imports this module
+
+    warnings: list[str] = []
     model_results: list[ModelResult] = []
     for m in cfg.models:
         dset = _align(variables, (m.dependent, *m.regressors), m.dependent)

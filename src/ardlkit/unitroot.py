@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,15 +47,38 @@ class Deterministic(str, Enum):
     CONSTANT = "constant"
     CONSTANT_TREND = "constant_and_trend"
 
-    def columns(self, start: int, n: int) -> dict[str, np.ndarray]:
-        """The constant and trend columns for rows start..n-1 of an
-        n-observation sample; the trend counts observations from 1."""
-        cols: dict[str, np.ndarray] = {}
-        if self is not Deterministic.NONE:
-            cols[CONST_NAME] = np.ones(n - start)
-        if self is Deterministic.CONSTANT_TREND:
-            cols[TREND_NAME] = np.arange(start + 1, n + 1, dtype=np.float64)
-        return cols
+    def _design(self, start: int, dependent: np.ndarray,
+                terms) -> tuple[np.ndarray, DesignMatrix]:
+        """The regressand and design on levels start..n-1 of n, as views
+        of one Fortran-order array [C, TREND, terms | dependent]: this
+        spec's constant and trend (counting from 1), then per term (name,
+        values, lag) the column values[t - lag] at row t. Every values
+        array is indexed by level t = 0..n-1, a difference through
+        ``_differenced``. Raises SampleTooShort when start >= n.
+        """
+        n = len(dependent)
+        if start >= n:
+            raise SampleTooShort("lag structure leaves no usable observations")
+        trend = self is Deterministic.CONSTANT_TREND
+        d = (self is not Deterministic.NONE) + trend
+        A = np.empty((n - start, d + len(terms) + 1), order="F")
+        if d:
+            A[:, 0] = 1.0
+        if trend:
+            A[:, 1] = np.arange(start + 1, n + 1)
+        for j, (_, values, lag) in enumerate(terms, d):
+            A[:, j] = values[start - lag:n - lag]
+        A[:, -1] = dependent[start:]
+        names = (CONST_NAME, TREND_NAME)[:d] + tuple(map(itemgetter(0), terms))
+        return A[:, -1], DesignMatrix(names, A[:, :-1])
+
+
+def _differenced(v: np.ndarray) -> np.ndarray:
+    """v[t] - v[t-1] at each level t >= 1, NaN at t = 0 (never read)."""
+    d = np.empty_like(v)
+    d[:1] = np.nan
+    np.subtract(v[1:], v[:-1], out=d[1:])
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,22 +165,13 @@ def _verdicts(statistic: float, cvs: dict[float, float]) -> dict[float, str]:
 def _dickey_fuller_design(y: np.ndarray, spec: Deterministic,
                           k: int) -> tuple[np.ndarray, DesignMatrix]:
     """Dependent Delta-y and regressors for an order-k augmentation, on
-    the longest sample that order allows (levels k+1..n-1), as views of
-    one array [X | Delta-y]. The columns are C, [TREND], Y(-1), DY(-1..k),
-    so the design of every lower order is a leading block of this one.
+    the longest sample that order allows (levels k+1..n-1). The columns
+    are C, [TREND], Y(-1), DY(-1..k), so the design of every lower order
+    is a leading block of this one.
     """
-    det = spec.columns(k + 1, len(y))
-    d = len(det)
-    A = np.empty((len(y) - 1 - k, d + k + 2), order="F")
-    for j, col in enumerate(det.values()):
-        A[:, j] = col
-    A[:, d] = y[k:-1]
-    dy = y[1:] - y[:-1]
-    for i in range(1, k + 1):
-        A[:, d + i] = dy[k - i:-i]
-    A[:, -1] = dy[k:]
-    names = (*det, "Y(-1)", *(f"DY(-{i})" for i in range(1, k + 1)))
-    return A[:, -1], DesignMatrix(names, A[:, :-1])
+    dy = _differenced(y)
+    return spec._design(k + 1, dy, [("Y(-1)", y, 1)] + [
+        (f"DY(-{i})", dy, i) for i in range(1, k + 1)])
 
 
 def _level_t(y: np.ndarray, spec: Deterministic, k: int,
@@ -234,7 +249,7 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     Parameters
     ----------
     s : TimeSeries
-    spec : Deterministic
+    spec : Deterministic or its value
         Deterministic terms included in the test regression.
     max_lag : int, optional
         Largest augmentation order; default floor(12 (n/100)^(1/4)).
@@ -245,16 +260,19 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     ------
     ValueError
         Before anything else: max_lag is neither None nor a whole number
-        >= 0 (a bool is not one), or rule is unknown.
+        >= 0 (a bool is not one), spec is not a Deterministic value, or
+        rule is not one of the rule names.
     RankDeficient
         The max-lag design, or the chosen order's, is collinear.
     PerfectFitDegenerate
         The chosen order's regression fits exactly.
     """
     _whole_number("max_lag", max_lag)
-    rule = rule.upper() if rule.lower() != "fixed" else "fixed"
-    if rule not in ("AIC", "SBC", "fixed"):
+    spec = Deterministic(spec)
+    if not isinstance(rule, str) or rule.upper() not in ("AIC", "SBC",
+                                                         "FIXED"):
         raise ValueError(f"unknown selection rule {rule!r}")
+    rule = "fixed" if rule.upper() == "FIXED" else rule.upper()
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
     if max_lag is None:
@@ -282,10 +300,12 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     of the lagged-level coefficient and s the regression standard error.
     With zero bandwidth l2 == g0 and Z_t is the plain t-ratio. All come
     from one QR of the regression, not a fit (``_level_t``). A bandwidth
-    neither None nor a whole number >= 0 raises ValueError before
-    anything else; an exact fit raises PerfectFitDegenerate.
+    neither None nor a whole number >= 0, or a spec that is not a
+    Deterministic value, raises ValueError before anything else; an
+    exact fit raises PerfectFitDegenerate.
     """
     _whole_number("bandwidth", bandwidth)
+    spec = Deterministic(spec)
     n = len(s.values)
     if n < 15:
         raise SampleTooShort(f"PP needs at least 15 observations, got {n}")

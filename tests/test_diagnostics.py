@@ -297,8 +297,8 @@ class TestRecursiveResiduals:
             recursive_residuals(y, X)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", ["y", "X"])
-    @pytest.mark.parametrize("through", ["prefix_residuals", "cusum"])
+    @pytest.mark.parametrize("through, where", [
+        ("prefix_residuals", "y"), ("prefix_residuals", "X"), ("cusum", "y")])
     def test_non_finite_input_raises_value_error(self, through, where, bad):
         # row 40 lies past the first k rows, which the rank check reads;
         # NaN residuals from there on would read as a stable CUSUM
@@ -314,7 +314,7 @@ class TestRecursiveResiduals:
             X = DesignMatrix(X.names, mat)
         with pytest.raises(ValueError, match="infs or NaNs"):
             if through == "cusum":
-                cusum(rr, X)
+                cusum(rr)
             else:
                 prefix_residuals(y, X)
 

@@ -523,6 +523,33 @@ class TestCli:
         assert "UNIT ROOT TESTS" not in text
         assert "bounds test" in text
 
+    def test_ardl_command_runs_no_unit_root_screening(self, tmp_path,
+                                                      capsys):
+        # Y is I(2): pipeline refuses it, ardl tests no unit root
+        rng = np.random.default_rng(4)
+        csv = write_csv(tmp_path / "i2.csv", {
+            "Y": np.cumsum(np.cumsum(rng.normal(size=200))),
+            "X": np.cumsum(rng.normal(size=200))})
+        argv = ["--config", str(DATA / "seed13_config.yaml"),
+                "--input", str(csv), "--format", "json"]
+        assert main(["pipeline", *argv]) == 5
+        capsys.readouterr()
+        assert main(["ardl", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "unit_root" not in payload
+        assert payload["models"][0]["bounds"]["decision"]
+
+    def test_ardl_command_is_the_pipeline_report_without_screening(
+            self, capsys):
+        argv = ["--config", str(DATA / "seed13_config.yaml"),
+                "--format", "json"]
+        assert main(["pipeline", *argv]) == 0
+        pipeline = json.loads(capsys.readouterr().out)
+        assert main(["ardl", *argv]) == 0
+        ardl = json.loads(capsys.readouterr().out)
+        del pipeline["unit_root"]
+        assert ardl == pipeline
+
     def test_simulate_deterministic(self, tmp_path, capsys):
         cfgp = tmp_path / "dgp.yaml"
         cfgp.write_text(yaml.safe_dump({

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ardlkit.unitroot
@@ -105,11 +107,32 @@ def _oracle_design(y, spec, k, start):
     return dy[start - 1:], DesignMatrix.from_columns(cols)
 
 
+def _t_tolerance(fit, t):
+    """How far two computations of the t-ratio t of ``fit`` may round
+    apart: 1e-12 max(|t|, 1), or 4 eps kappa (|t| + sqrt(n - k)) with
+    kappa = sqrt(Delta-y'Delta-y / RSS) where that is larger.
+
+    Both sides read t = sqrt(n - k) R[k-1, k] / |R[k, k]| off a triangle
+    of [X | Delta-y] (the oracle through its QR). A backward-stable QR
+    moves its last column, the effects of Delta-y, by about
+    eps ||Delta-y||, so R[k-1, k] and |R[k, k]| = sqrt(RSS) move by
+    eps kappa sqrt(RSS) and t by about eps kappa (sqrt(n - k) + |t|). That
+    is 1e-12-size for kappa up to about 1e3, and larger when the
+    regression explains almost all of Delta-y: at n = 17 an order-7
+    regression left 1 residual degree of freedom and kappa = 11,411,
+    and t = -5373.190956979 (mpmath, 60 digits) came out 1.5e-12
+    relative off from the triangle and 4e-13 from the oracle."""
+    kappa = math.sqrt(float(fit.y @ fit.y) / fit.rss)
+    return max(1e-12 * max(abs(t), 1.0),
+               4.0 * np.finfo(np.float64).eps * kappa
+               * (abs(t) + math.sqrt(fit.n - fit.k)))
+
+
 def _oracle_adf(s, spec, max_lag, rule):
-    """(lag, statistic) by one ols fit per candidate lag on the common
-    max-lag sample (none under the fixed rule), then an ols refit of the
-    chosen lag; an exact refit (the rule of wald_f_test) has no
-    statistic."""
+    """(lag, statistic, tolerance) by one ols fit per candidate lag on
+    the common max-lag sample (none under the fixed rule), then an ols
+    refit of the chosen lag; an exact refit (the rule of wald_f_test) has
+    no statistic. The tolerance is ``_t_tolerance`` of the refit."""
     y = s.values
     if max_lag is None:
         max_lag = default_max_lag(len(y))
@@ -123,7 +146,8 @@ def _oracle_adf(s, spec, max_lag, rule):
     fit = ols(*_oracle_design(y, spec, lag, lag + 1))
     if fit.rss <= 1e-13 * max(float(fit.y @ fit.y), 1.0):
         raise PerfectFitDegenerate("exact fit")
-    return lag, fit.t_stats["Y(-1)"]
+    t = fit.t_stats["Y(-1)"]
+    return lag, t, _t_tolerance(fit, t)
 
 
 def _adf_lag_and_statistic(s, spec, max_lag, rule):
@@ -140,13 +164,12 @@ def _outcome(search, s, spec, max_lag, rule):
 
 
 def _same_outcome(got, want) -> bool:
-    """The same error type, or the same lag and a statistic within
-    1e-12 of the oracle's, relative to max(|oracle|, 1): the triangle
-    and the oracle's ols fit round differently."""
+    """The same error type, or the same lag and a statistic within the
+    oracle's tolerance of its statistic: the triangle and the oracle's
+    ols fit round differently."""
     if isinstance(want, str) or isinstance(got, str):
         return got == want
-    return got[0] == want[0] and \
-        abs(got[1] - want[1]) <= 1e-12 * max(abs(want[1]), 1.0)
+    return got[0] == want[0] and abs(got[1] - want[1]) <= want[2]
 
 
 def _simulated(kind, n, seed):
@@ -189,6 +212,9 @@ class TestLagSelectionOracle:
     @given(kind=st.sampled_from(["walk", "ar", "i2"]),
            extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
+    # n = 17 with 1 residual degree of freedom and kappa = 11,411: the
+    # two sides are 1.05e-12 relative apart (see _t_tolerance)
+    @example(kind="ar", extra=0, seed=177090294)
     def test_same_lag_and_statistic(self, spec, rule, max_lag, kind, extra,
                                     seed):
         # short samples with a trend raise SampleTooShort on both sides
@@ -284,7 +310,7 @@ class TestTriangleAgainstOls:
             for kind in ("walk", "ar"):
                 s = make_series(_simulated(kind, 150, seed))
                 adf = adf_test(s, spec, max_lag, rule)
-                lag, t = _oracle_adf(s, spec, max_lag, rule)
+                lag, t, _ = _oracle_adf(s, spec, max_lag, rule)
                 assert adf.lag_or_bandwidth == lag
                 assert adf.nobs == 149 - lag
                 assert adf.statistic == pytest.approx(t, rel=1e-12)
@@ -348,6 +374,29 @@ def test_lag_arguments_are_checked_before_any_work(value, valid):
         if valid:
             res = run(generate(Ar1(T=100, seed=4, phi=0.5))["Y"])
             assert value is None or res.lag_or_bandwidth <= value
+
+
+@pytest.mark.parametrize("rule", ["aic", None, 1])
+@pytest.mark.parametrize("spec", ["constant", Deterministic.CONSTANT,
+                                  "bogus", 3, None])
+def test_spec_and_rule_are_checked_before_any_work(spec, rule):
+    # 9 observations are too few for either test: an invalid spec or rule
+    # is reported first, and a spec's value is read as its Deterministic
+    short = make_series(np.arange(9.0))
+    series = generate(Ar1(T=100, seed=4, phi=0.5))["Y"]
+    spec_ok = spec in ("constant", Deterministic.CONSTANT)
+    for run, valid, same in (
+            (lambda s: adf_test(s, spec, rule=rule), spec_ok and rule == "aic",
+             lambda s: adf_test(s, Deterministic.CONSTANT, rule="AIC")),
+            (lambda s: pp_test(s, spec), spec_ok,
+             lambda s: pp_test(s, Deterministic.CONSTANT))):
+        with pytest.raises(SampleTooShort if valid else ValueError):
+            run(short)
+        if valid:
+            res, want = run(series), same(series)
+            assert res.spec is Deterministic.CONSTANT
+            assert (res.statistic, res.lag_or_bandwidth) == \
+                (want.statistic, want.lag_or_bandwidth)
 
 
 class TestCriticalValues:
