@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     DataError,
     I2VariablePresent,
-    NumericalError,
 )
 from .pipeline import (
     _analyse_models,
@@ -46,6 +45,12 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 EXIT_I2 = 5
+
+# the first kind an error is an instance of gives its exit code; every
+# other ardlkit error is numerical or a degeneracy
+_EXIT_CODES = ((I2VariablePresent, EXIT_I2), (ConfigError, EXIT_CONFIG),
+               ((DataError, FileNotFoundError), EXIT_DATA),
+               (ArdlkitError, EXIT_NUMERICAL))
 
 
 # parse_args leaves the parser as it found it, so one parser serves
@@ -101,12 +106,18 @@ def _emit(data: bytes, output: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _cmd_pipeline(args) -> int:
+def _config(args):
+    """The --config file's PipelineConfig under --input and --force."""
     cfg = load_config(args.config)
     if args.input:
         cfg = dataclasses.replace(cfg, input_path=args.input)
     if args.force:
         cfg = dataclasses.replace(cfg, force=True)
+    return cfg
+
+
+def _cmd_pipeline(args) -> int:
+    cfg = _config(args)
     if args.output:
         cfg = dataclasses.replace(cfg, json_path=args.output)
     payload = report_mod.to_payload(run_pipeline(cfg))
@@ -122,11 +133,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_ardl(args) -> int:
-    cfg = load_config(args.config)
-    if args.input:
-        cfg = dataclasses.replace(cfg, input_path=args.input)
-    if args.force:
-        cfg = dataclasses.replace(cfg, force=True)
+    cfg = _config(args)
     # the pipeline without the unit-root screening, and so without its
     # section of the report or its I(2) refusal
     ds = dataio.load_csv(cfg.input_path, cfg.ingestion)
@@ -195,21 +202,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except I2VariablePresent as exc:
+    except (ArdlkitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_I2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ArdlkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -47,6 +47,10 @@ from .linreg import (
 # probabilities (Brown-Durbin-Evans).
 CUSUM_CRITICAL = {0.01: 1.143, 0.05: 0.948, 0.10: 0.850}
 
+# The battery's tests in report order, as run_battery's include names them
+BATTERY = ("serial_correlation", "functional_form", "normality",
+           "heteroscedasticity", "stability")
+
 
 @dataclass(frozen=True, eq=False)
 class StabilityResult:
@@ -133,8 +137,7 @@ def ramsey_reset(rr: RegressionResult, powers=(2,)) -> TestStatistic:
     scale = float(np.max(np.abs(fitted)))
     if scale == 0.0 or spread <= 1e-12 * scale:
         raise ConstantFitted("fitted values are constant")
-    yy = max(float(rr.y @ rr.y), 1.0)
-    if rr.rss <= EXACT_FIT_RTOL * yy:
+    if rr.fits_exactly:
         raise PerfectFitDegenerate("zero residual variance")
     f_scaled = fitted / scale
     z = appended_effects(rr, rr.residuals,
@@ -142,7 +145,7 @@ def ramsey_reset(rr: RegressionResult, powers=(2,)) -> TestStatistic:
                          np.column_stack([f_scaled ** pwr for pwr in powers]))
     q = len(powers)
     rss_aug = float(z[q]) ** 2
-    if rss_aug <= EXACT_FIT_RTOL * yy:
+    if rss_aug <= EXACT_FIT_RTOL * max(float(rr.y @ rr.y), 1.0):
         raise PerfectFitDegenerate(
             "unrestricted model fits exactly; F ratio undefined"
         )
@@ -212,17 +215,23 @@ def recursive_residuals(y, X: DesignMatrix) -> np.ndarray:
     return prefix_residuals(y, X)
 
 
-def cusum(rr: RegressionResult, alpha: float = 0.05) -> StabilityResult:
-    """Cumulative sum of scaled recursive residuals with straight-line
-    bounds +/- a (sqrt(m) + 2 r / sqrt(m)), m = n - k."""
-    return _cusum(recursive_residuals(rr.y, rr.design), alpha)
+def _stability_input(w) -> np.ndarray:
+    """w as a float array; ValueError unless it is 1-d and nonempty."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("recursive residuals must be a nonempty 1-d array")
+    return w
 
 
-def _cusum(w: np.ndarray, alpha: float) -> StabilityResult:
+def cusum(w, alpha: float = 0.05) -> StabilityResult:
+    """Cumulative sum of the recursive residuals w, each scaled by their
+    root mean square, with straight-line bounds
+    +/- a (sqrt(m) + 2 r / sqrt(m)), m = len(w)."""
     if alpha not in CUSUM_CRITICAL:
         raise ConfigError(
             f"CUSUM bounds tabulated at {sorted(CUSUM_CRITICAL)}, got {alpha}"
         )
+    w = _stability_input(w)
     m = w.shape[0]
     sigma = math.sqrt(float(w @ w) / m)
     path = np.cumsum(w) / sigma if sigma > 0.0 else np.zeros(m)
@@ -234,15 +243,12 @@ def _cusum(w: np.ndarray, alpha: float) -> StabilityResult:
     return StabilityResult("CUSUM", path, lower, upper, stable, alpha)
 
 
-def cusumsq(rr: RegressionResult, alpha: float = 0.05) -> StabilityResult:
-    """Cumulative squared recursive-residual share against parallel
-    bounds r/m +/- c0 from the embedded table (5% only)."""
-    return _cusumsq(recursive_residuals(rr.y, rr.design), alpha)
-
-
-def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
+def cusumsq(w, alpha: float = 0.05) -> StabilityResult:
+    """Cumulative share of the squared recursive residuals w against
+    parallel bounds r/m +/- c0 from the embedded table (5% only)."""
     if alpha != 0.05:
         raise ConfigError("CUSUMSQ offsets are tabulated at 5% only")
+    w = _stability_input(w)
     m = w.shape[0]
     # divided by its own last point, so the path ends at exactly 1
     cum = np.cumsum(w**2)
@@ -259,11 +265,10 @@ def _cusumsq(w: np.ndarray, alpha: float) -> StabilityResult:
 
 def run_battery(rr: RegressionResult, bg_lags: int = 2, reset_powers=(2,),
                 alpha: float = 0.05,
-                include: tuple[str, ...] = (
-                    "serial_correlation", "functional_form", "normality",
-                    "heteroscedasticity", "stability",
-                )) -> DiagnosticsReport:
-    """Run the full diagnostics battery on one regression."""
+                include: tuple[str, ...] = BATTERY) -> DiagnosticsReport:
+    """Run the tests of the battery that include names (a subset of
+    BATTERY) on one regression; CUSUM and CUSUMSQ read one set of
+    recursive residuals."""
     sc = breusch_godfrey(rr, bg_lags) \
         if "serial_correlation" in include else None
     ff = ramsey_reset(rr, reset_powers) \
@@ -273,15 +278,11 @@ def run_battery(rr: RegressionResult, bg_lags: int = 2, reset_powers=(2,),
     cs = csq = None
     if "stability" in include:
         w = recursive_residuals(rr.y, rr.design)
-        cs, csq = _cusum(w, alpha), _cusumsq(w, 0.05)
+        cs, csq = cusum(w, alpha), cusumsq(w)
 
-    ok = True
-    for t in (sc, ff, nm, ht):
-        if t is not None and t.decision_at.get(alpha) == "reject":
-            ok = False
-    for s in (cs, csq):
-        if s is not None and not s.stable:
-            ok = False
+    ok = (all(t is None or t.decision_at.get(alpha) != "reject"
+              for t in (sc, ff, nm, ht))
+          and all(s is None or s.stable for s in (cs, csq)))
     return DiagnosticsReport(
         serial_correlation=sc,
         functional_form=ff,

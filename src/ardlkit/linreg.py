@@ -282,11 +282,7 @@ def ols(y, X: DesignMatrix) -> RegressionResult:
     else:
         f_stat = math.nan
 
-    if rss > 0.0:
-        diffs = np.diff(residuals)
-        dw = float(diffs @ diffs) / rss
-    else:
-        dw = math.nan
+    dw = durbin_watson(residuals) if rss > 0.0 else math.nan
     log_l = _log_likelihood(rss, n)
 
     names, beta_f, se_f = X.names, beta.tolist(), se.tolist()

@@ -28,8 +28,9 @@ from .ardl import (
     estimate_ecm,
 )
 from .dataio import Dataset, IngestionConfig, TimeSeries
-from .diagnostics import DiagnosticsReport, run_battery
+from .diagnostics import BATTERY, DiagnosticsReport, run_battery
 from .errors import ConfigError, I2VariablePresent
+from .linreg import DEFAULT_LEVELS
 from .unitroot import (
     Deterministic,
     IntegrationOrder,
@@ -39,8 +40,6 @@ from .unitroot import (
     classify_integration,
     pp_test,
 )
-
-ALLOWED_LEVELS = (0.01, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
@@ -110,18 +109,8 @@ class DiagnosticsStage:
                               f"{list(self.reset_powers)!r}")
 
     def include(self) -> tuple[str, ...]:
-        out = []
-        if self.serial_correlation:
-            out.append("serial_correlation")
-        if self.functional_form:
-            out.append("functional_form")
-        if self.normality:
-            out.append("normality")
-        if self.heteroscedasticity:
-            out.append("heteroscedasticity")
-        if self.stability:
-            out.append("stability")
-        return tuple(out)
+        """The switched-on tests, in BATTERY order."""
+        return tuple(t for t in BATTERY if getattr(self, t))
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,7 @@ class PipelineConfig:
     ingestion: IngestionConfig
     variables: tuple[VariableSpec, ...]
     models: tuple[ModelSpec, ...]
-    levels: tuple[float, ...] = ALLOWED_LEVELS
+    levels: tuple[float, ...] = DEFAULT_LEVELS
     unit_root: UnitRootConfig = UnitRootConfig()
     diagnostics: DiagnosticsStage = DiagnosticsStage()
     alpha: float = 0.05
@@ -225,9 +214,16 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     inp = payload.get("input")
     if not isinstance(inp, dict) or "path" not in inp:
         raise ConfigError("config needs an input section with a path")
-    path = str(inp["path"])
-    if base_dir is not None and not Path(path).is_absolute():
-        path = str(base_dir / path)
+
+    def _resolve(p):
+        """p as text, under base_dir when relative; None if not given."""
+        if p is None:
+            return None
+        p = str(p)
+        if base_dir is not None and not Path(p).is_absolute():
+            return str(base_dir / p)
+        return p
+
     ingestion = IngestionConfig(
         date_column=_name(inp.get("date_column", "date"),
                           "input.date_column"),
@@ -284,11 +280,11 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         raise ConfigError("config defines no models")
 
     levels = tuple(_converted(a, f"levels[{i}]") for i, a in enumerate(
-        _as_tuple(payload.get("levels"), "levels") or ALLOWED_LEVELS))
-    bad = [a for a in levels if a not in ALLOWED_LEVELS]
+        _as_tuple(payload.get("levels"), "levels") or DEFAULT_LEVELS))
+    bad = [a for a in levels if a not in DEFAULT_LEVELS]
     if bad:
         raise ConfigError(
-            f"significance levels {bad} unsupported; allowed {ALLOWED_LEVELS}"
+            f"significance levels {bad} unsupported; allowed {DEFAULT_LEVELS}"
         )
 
     ur = _mapping(payload.get("unit_root"), "unit_root")
@@ -312,22 +308,12 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         reset_powers=_as_tuple(dg.get("reset_powers", (2,)),
                                "diagnostics.reset_powers"),
         **{key: _flag(dg.get(key, True), f"diagnostics.{key}")
-           for key in ("enabled", "serial_correlation", "functional_form",
-                       "normality", "heteroscedasticity", "stability")},
+           for key in ("enabled", *BATTERY)},
     )
 
     out = _mapping(payload.get("output"), "output")
-
-    def _resolve(p):
-        if p is None:
-            return None
-        p = str(p)
-        if base_dir is not None and not Path(p).is_absolute():
-            return str(base_dir / p)
-        return p
-
     cfg = PipelineConfig(
-        input_path=path,
+        input_path=_resolve(str(inp["path"])),
         ingestion=ingestion,
         variables=tuple(variables),
         models=tuple(models),

@@ -18,7 +18,7 @@ import math
 from pathlib import PurePath
 
 from .ardl import coefficient_pvalues
-from .diagnostics import DiagnosticsReport, StabilityResult
+from .diagnostics import BATTERY, DiagnosticsReport, StabilityResult
 from .errors import ConfigError
 from .linreg import DEFAULT_LEVELS, TestStatistic, decisions_from_pvalue
 from .pipeline import AnalysisReport, ModelResult
@@ -29,6 +29,9 @@ P_VALUE_DIGITS = 10
 
 _ORDER_LABEL = {"I0": "I(0)", "I1": "I(1)", "higher": "I(2) or higher"}
 STARS_LEGEND = "significance stars: * 10%, ** 5%, *** 1%"
+# the battery's LM and F tests, each a TestStatistic; its last test,
+# stability, reports CUSUM and CUSUMSQ
+_LM_TESTS = BATTERY[:-1]
 
 
 def pct(alpha: float) -> str:
@@ -48,22 +51,22 @@ def stars_from_map(decisions: dict[float, str], positive: str) -> str:
     return ""
 
 
-def _coef_rows(fit, names) -> list[dict]:
+def _coef_row(name: str, coef: float, se: float, t: float,
+              p: float) -> dict:
+    """One row of a coefficient table, starred by p at the default
+    levels (no stars when p is not finite)."""
+    decisions = (decisions_from_pvalue(p, DEFAULT_LEVELS)
+                 if math.isfinite(p) else {})
+    return {"variable": name, "coefficient": coef, "std_error": se,
+            "t_stat": t, "p_value": _serialized_pvalue(p),
+            "stars": stars_from_map(decisions, "reject")}
+
+
+def _fit_rows(fit, names) -> list[dict]:
+    """The named coefficients of a fit, with t-distribution p-values."""
     pvals = coefficient_pvalues(fit)
-    rows = []
-    for name in names:
-        p = pvals[name]
-        decisions = (decisions_from_pvalue(p, DEFAULT_LEVELS)
-                     if math.isfinite(p) else {})
-        rows.append({
-            "variable": name,
-            "coefficient": fit.coefficients[name],
-            "std_error": fit.std_errors[name],
-            "t_stat": fit.t_stats[name],
-            "p_value": _serialized_pvalue(p),
-            "stars": stars_from_map(decisions, "reject"),
-        })
-    return rows
+    return [_coef_row(name, fit.coefficients[name], fit.std_errors[name],
+                      fit.t_stats[name], pvals[name]) for name in names]
 
 
 def _test_payload(t: TestStatistic | None, alpha: float) -> dict | None:
@@ -96,10 +99,7 @@ def _diagnostics_payload(d: DiagnosticsReport | None) -> dict | None:
         return None
     return {
         "alpha": d.alpha,
-        "serial_correlation": _test_payload(d.serial_correlation, d.alpha),
-        "functional_form": _test_payload(d.functional_form, d.alpha),
-        "normality": _test_payload(d.normality, d.alpha),
-        "heteroscedasticity": _test_payload(d.heteroscedasticity, d.alpha),
+        **{key: _test_payload(getattr(d, key), d.alpha) for key in _LM_TESTS},
         "cusum": _stability_payload(d.cusum),
         "cusumsq": _stability_payload(d.cusumsq),
         "verdict": d.verdict,
@@ -120,7 +120,7 @@ def _model_payload(mr: ModelResult) -> dict:
             "description": spec.describe(),
         },
         "n_effective": mr.ardl.n_effective,
-        "conditional_ecm_rows": _coef_rows(fit, fit.design.names),
+        "conditional_ecm_rows": _fit_rows(fit, fit.design.names),
         "bounds": {
             "f_statistic": mr.bounds.f_statistic,
             "case": mr.bounds.case,
@@ -135,28 +135,16 @@ def _model_payload(mr: ModelResult) -> dict:
         "short_run": None,
         "diagnostics": _diagnostics_payload(mr.diagnostics),
     }
-    if mr.long_run is not None:
-        rows = []
-        for name, value in mr.long_run.values.items():
-            t = mr.long_run.t_stats[name]
-            p = (2.0 * _normal_sf(abs(t))) if math.isfinite(t) else math.nan
-            decisions = (decisions_from_pvalue(p, DEFAULT_LEVELS)
-                         if math.isfinite(p) else {})
-            rows.append({
-                "variable": name,
-                "coefficient": value,
-                "std_error": mr.long_run.std_errors[name],
-                "t_stat": t,
-                "p_value": _serialized_pvalue(p),
-                "stars": stars_from_map(decisions, "reject"),
-            })
-        out["long_run"] = {"rows": rows}
+    lr = mr.long_run
+    if lr is not None:
+        out["long_run"] = {"rows": [
+            _coef_row(name, value, lr.std_errors[name], lr.t_stats[name],
+                      _normal_p(lr.t_stats[name]))
+            for name, value in lr.values.items()]}
     if mr.ecm is not None:
         efit = mr.ecm.fit
-        row_names = [n for n in efit.design.names if n.startswith("D")]
-        row_names.append("ECM(-1)")
         out["short_run"] = {
-            "rows": _coef_rows(efit, row_names),
+            "rows": _fit_rows(efit, [*mr.ecm.short_run, "ECM(-1)"]),
             "ecm_coefficient": mr.ecm.ecm_coefficient,
             "non_negative_loading": mr.ecm.non_negative_loading,
             "speed_of_adjustment_pct": mr.ecm.speed_of_adjustment_pct,
@@ -169,8 +157,11 @@ def _model_payload(mr: ModelResult) -> dict:
     return out
 
 
-def _normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+def _normal_p(t: float) -> float:
+    """Two-sided standard-normal p-value of t; NaN when t is not finite."""
+    if not math.isfinite(t):
+        return math.nan
+    return 2.0 * (0.5 * math.erfc(abs(t) / math.sqrt(2.0)))
 
 
 def _unit_root_payload(report: AnalysisReport) -> dict:
@@ -301,6 +292,14 @@ def unit_root_lines(table: list[dict]) -> list[str]:
          "lags/bw"], rows)
 
 
+def _coef_lines(title: str, rows: list[dict]) -> list[str]:
+    """A coefficient table's text section: title and table."""
+    return [title] + _table(
+        ["variable", "coefficient", "std. error", "t-statistic"],
+        [[r["variable"], _fmt(r["coefficient"]) + r["stars"],
+          _fmt(r["std_error"]), _fmt(r["t_stat"])] for r in rows])
+
+
 def render_text(payload: dict) -> str:
     lines: list[str] = []
     push = lines.append
@@ -336,23 +335,13 @@ def render_text(payload: dict) -> str:
         push("")
 
         if m["long_run"] is not None:
-            push("long-run coefficients")
-            lines += _table(
-                ["variable", "coefficient", "std. error", "t-statistic"],
-                [[r["variable"], _fmt(r["coefficient"]) + r["stars"],
-                  _fmt(r["std_error"]), _fmt(r["t_stat"])]
-                 for r in m["long_run"]["rows"]],
-            )
+            lines += _coef_lines("long-run coefficients",
+                                 m["long_run"]["rows"])
             push("")
         if m["short_run"] is not None:
             sr = m["short_run"]
-            push("short-run (error-correction) coefficients")
-            lines += _table(
-                ["variable", "coefficient", "std. error", "t-statistic"],
-                [[r["variable"], _fmt(r["coefficient"]) + r["stars"],
-                  _fmt(r["std_error"]), _fmt(r["t_stat"])]
-                 for r in sr["rows"]],
-            )
+            lines += _coef_lines("short-run (error-correction) coefficients",
+                                 sr["rows"])
             push(f"R-squared {_fmt(sr['r_squared'])}   "
                  f"Adj. R-squared {_fmt(sr['adj_r_squared'])}   "
                  f"F-statistic (overall) {_fmt(sr['f_statistic'], 4)}   "
@@ -364,21 +353,11 @@ def render_text(payload: dict) -> str:
         if m["diagnostics"] is not None:
             d = m["diagnostics"]
             push(f"diagnostics (alpha {pct(d['alpha'])})")
-            drows = []
-            for label, key in (
-                ("serial correlation", "serial_correlation"),
-                ("functional form", "functional_form"),
-                ("normality", "normality"),
-                ("heteroscedasticity", "heteroscedasticity"),
-            ):
-                t = d[key]
-                if t is None:
-                    continue
-                drows.append([
-                    label, _fmt(t["statistic"], 6),
-                    _fmt(t["p_value"], 6) if t["p_value"] is not None else "-",
-                    t["decision"] or "-",
-                ])
+            drows = [[
+                key.replace("_", " "), _fmt(t["statistic"], 6),
+                _fmt(t["p_value"], 6) if t["p_value"] is not None else "-",
+                t["decision"] or "-",
+            ] for key in _LM_TESTS if (t := d[key]) is not None]
             lines += _table(["test", "statistic", "p-value", "decision"],
                             drows)
             for key, label in (("cusum", "CUSUM"), ("cusumsq", "CUSUMSQ")):

@@ -140,12 +140,14 @@ class UnitRootConfig:
     bandwidth: int | None = None
 
     def __post_init__(self):
-        if self.test.upper() not in ("ADF", "PP"):
+        if not isinstance(self.test, str) or self.test.upper() not in (
+                "ADF", "PP"):
             raise ConfigError(f"unit_root.test must be ADF or PP, "
                               f"got {self.test!r}")
         if self.alpha not in DEFAULT_LEVELS:
             raise ConfigError("unit_root.alpha must be one of 1%, 5%, 10%")
-        if self.rule.upper() not in ("AIC", "SBC", "FIXED"):
+        if not isinstance(self.rule, str) or self.rule.upper() not in (
+                "AIC", "SBC", "FIXED"):
             raise ConfigError(f"unit_root.rule must be AIC, SBC or fixed, "
                               f"got {self.rule!r}")
         for key in ("max_lag", "bandwidth"):
@@ -162,19 +164,19 @@ def _verdicts(statistic: float, cvs: dict[float, float]) -> dict[float, str]:
             for a, cv in cvs.items()}
 
 
-def _dickey_fuller_design(y: np.ndarray, spec: Deterministic,
+def _dickey_fuller_design(y: np.ndarray, dy: np.ndarray,
+                          spec: Deterministic,
                           k: int) -> tuple[np.ndarray, DesignMatrix]:
     """Dependent Delta-y and regressors for an order-k augmentation, on
-    the longest sample that order allows (levels k+1..n-1). The columns
-    are C, [TREND], Y(-1), DY(-1..k), so the design of every lower order
-    is a leading block of this one.
+    the longest sample that order allows (levels k+1..n-1), from y and
+    its ``_differenced`` dy. The columns are C, [TREND], Y(-1), DY(-1..k),
+    so the design of every lower order is a leading block of this one.
     """
-    dy = _differenced(y)
     return spec._design(k + 1, dy, [("Y(-1)", y, 1)] + [
         (f"DY(-{i})", dy, i) for i in range(1, k + 1)])
 
 
-def _level_t(y: np.ndarray, spec: Deterministic, k: int,
+def _level_t(y: np.ndarray, dy: np.ndarray, spec: Deterministic, k: int,
              residuals: bool = False):
     """(t, se, s, n, e) of the order-k Dickey-Fuller regression, without
     a fit: the lagged level's t-ratio and standard error, the regression
@@ -187,7 +189,7 @@ def _level_t(y: np.ndarray, spec: Deterministic, k: int,
     exact fit, RSS = R[p, p]^2 at or below 1e-13 max(Delta-y'Delta-y, 1)
     as in ``wald_f_test``, raises PerfectFitDegenerate.
     """
-    dep, X = _dickey_fuller_design(y, spec, k)
+    dep, X = _dickey_fuller_design(y, dy, spec, k)
     p, j = X.k, X.k - k - 1
     order = [*range(j), *range(j + 1, p), j]
     R = _effects_triangle(dep, X, order)
@@ -217,13 +219,13 @@ def _whole_number(key: str, value, error=ValueError) -> None:
         raise error(f"{key} must be a whole number >= 0, got {value!r}")
 
 
-def _select_lag(y: np.ndarray, spec: Deterministic, max_lag: int,
-                rule: str) -> int:
+def _select_lag(y: np.ndarray, dy: np.ndarray, spec: Deterministic,
+                max_lag: int, rule: str) -> int:
     """The augmentation order in 0..max_lag that minimises the rule's
     criterion on the common max-lag sample; ties go to the smaller
     order. Every order is scored from one factorization of the max-lag
     design (linreg.nested_criteria)."""
-    dep, design = _dickey_fuller_design(y, spec, max_lag)
+    dep, design = _dickey_fuller_design(y, dy, spec, max_lag)
     order0 = design.k - max_lag   # columns of the order-0 design
     crits = [aic if rule == "AIC" else sbc
              for aic, sbc in nested_criteria(dep, design)[order0:]]
@@ -280,9 +282,10 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     if n < max_lag + 10:
         raise SampleTooShort(f"ADF with max_lag={max_lag} needs at least "
                              f"{max_lag + 10} observations, got {n}")
+    dy = _differenced(y)
     chosen = (max_lag if rule == "fixed"
-              else _select_lag(y, spec, max_lag, rule))
-    t_stat, _, _, nobs, _ = _level_t(y, spec, chosen)
+              else _select_lag(y, dy, spec, max_lag, rule))
+    t_stat, _, _, nobs, _ = _level_t(y, dy, spec, chosen)
     return _result("ADF", spec, chosen, t_stat, rule, nobs)
 
 
@@ -309,8 +312,9 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     n = len(s.values)
     if n < 15:
         raise SampleTooShort(f"PP needs at least 15 observations, got {n}")
-    t_stat, se, s_reg, m, resid = _level_t(
-        np.asarray(s.values, dtype=np.float64), spec, 0, residuals=True)
+    y = np.asarray(s.values, dtype=np.float64)
+    t_stat, se, s_reg, m, resid = _level_t(y, _differenced(y), spec, 0,
+                                           residuals=True)
     if bandwidth is None:
         bandwidth = default_bandwidth(m)
     gamma0 = newey_west_lrv(resid, 0)

@@ -38,6 +38,7 @@ from ardlkit import (
     ols,
     pp_test,
     ramsey_reset,
+    recursive_residuals,
 )
 from ardlkit.cli import main
 from ardlkit.critvals import adf_critical_values
@@ -246,9 +247,9 @@ def test_criterion_08_diagnostics_size_and_stability():
             ds = dgp_factory(r)
             X = DesignMatrix.from_columns(
                 {"C": np.ones(ds.n), "X": ds["X"].values})
-            rr = ols(ds["Y"].values, X)
-            cus += not cusum(rr).stable
-            csq += not cusumsq(rr).stable
+            w = recursive_residuals(ds["Y"].values, X)
+            cus += not cusum(w).stable
+            csq += not cusumsq(w).stable
         return cus / n_reps, csq / n_reps
 
     br_cusum, br_cusumsq = stability_rates(

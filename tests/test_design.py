@@ -141,7 +141,7 @@ def test_ecm_and_levels_designs_match_the_old_builders(det, m):
 def test_dickey_fuller_designs_match_the_old_builder(spec):
     y = _values(0)["Y"]
     for k in range(15):
-        assert_same_bits(_dickey_fuller_design(y, spec, k),
+        assert_same_bits(_dickey_fuller_design(y, _differenced(y), spec, k),
                          oracle_dickey_fuller_design(y, spec, k))
 
 
@@ -152,7 +152,8 @@ def test_no_row_left_is_sample_too_short(det, start):
     with pytest.raises(SampleTooShort, match="no usable observations"):
         det._design(start, values["Y"], [("X0", values["X0"], 1)])
     with pytest.raises(SampleTooShort, match="no usable observations"):
-        _dickey_fuller_design(values["Y"], det, start - 1)
+        _dickey_fuller_design(values["Y"], _differenced(values["Y"]), det,
+                              start - 1)
     if det is not Deterministic.NONE:
         spec = ArdlSpec("Y", ("X0", "X1"), 2, {"X0": 1, "X1": 0}, det)
         with pytest.raises(SampleTooShort, match="no usable observations"):

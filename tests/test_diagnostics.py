@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -30,8 +29,9 @@ from ardlkit.errors import (
     SampleTooShort,
     ZeroVariance,
 )
+from ardlkit import diagnostics
+from ardlkit.diagnostics import CUSUM_CRITICAL
 from ardlkit.linreg import TestStatistic as StatResult
-from ardlkit.diagnostics import _cusumsq
 from ardlkit.linreg import (
     _PREFIX_BLOCK,
     RANK_RTOL,
@@ -297,26 +297,21 @@ class TestRecursiveResiduals:
             recursive_residuals(y, X)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("through, where", [
-        ("prefix_residuals", "y"), ("prefix_residuals", "X"), ("cusum", "y")])
-    def test_non_finite_input_raises_value_error(self, through, where, bad):
+    @pytest.mark.parametrize("where", ["y", "X"],
+                             ids=lambda where: f"prefix_residuals-{where}")
+    def test_non_finite_input_raises_value_error(self, where, bad):
         # row 40 lies past the first k rows, which the rank check reads;
         # NaN residuals from there on would read as a stable CUSUM
         y, X = recursive_design("C", 2, 60, seed=5)
-        rr = ols(y, X)
         if where == "y":
             y = y.copy()
             y[40] = bad
-            rr = dataclasses.replace(rr, y=y)
         else:
             mat = X.matrix.copy()
             mat[40, 1] = bad
             X = DesignMatrix(X.names, mat)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            if through == "cusum":
-                cusum(rr)
-            else:
-                prefix_residuals(y, X)
+            prefix_residuals(y, X)
 
     def test_half_sample_orthogonality(self):
         ds = generate(BreakModel(T=200, seed=43, break_point=100,
@@ -334,33 +329,37 @@ class TestRecursiveResiduals:
             recursive_residuals(np.arange(4.0), X)
 
 
+def break_residuals(seed, **break_model):
+    """Recursive residuals of Y on C and X from a BreakModel with T 200."""
+    ds = generate(BreakModel(T=200, seed=seed, **break_model))
+    rr = fit(ds["Y"].values, C=np.ones(200), X=ds["X"].values)
+    return recursive_residuals(rr.y, rr.design)
+
+
 class TestStability:
-    def stable_fit(self, seed=43):
-        ds = generate(BreakModel(T=200, seed=seed, break_point=100,
-                                 pre=(1.0, 1.0), post=(1.0, 1.0)))
-        return fit(ds["Y"].values, C=np.ones(200), X=ds["X"].values)
+    def stable_w(self, seed=43):
+        return break_residuals(seed, break_point=100, pre=(1.0, 1.0),
+                               post=(1.0, 1.0))
 
     def test_stable_fixture_passes_both(self):
-        rr = self.stable_fit()
-        assert cusum(rr).stable
-        assert cusumsq(rr).stable
+        w = self.stable_w()
+        assert cusum(w).stable
+        assert cusumsq(w).stable
 
     def test_slope_doubling_break_flags_cusumsq(self):
-        ds = generate(BreakModel(T=200, seed=5, break_point=100,
-                                 pre=(0.0, 1.0), post=(0.0, 2.0), sigma=0.5))
-        rr = fit(ds["Y"].values, C=np.ones(200), X=ds["X"].values)
-        assert not cusumsq(rr).stable
+        w = break_residuals(5, break_point=100, pre=(0.0, 1.0),
+                            post=(0.0, 2.0), sigma=0.5)
+        assert not cusumsq(w).stable
 
     def test_paths_inside_bounds_iff_stable(self):
-        rr = self.stable_fit()
-        for res in (cusum(rr), cusumsq(rr)):
+        w = self.stable_w()
+        for res in (cusum(w), cusumsq(w)):
             inside = np.all((res.path >= res.lower_bound)
                             & (res.path <= res.upper_bound))
             assert bool(inside) == res.stable
 
     def test_cusum_bound_shape(self):
-        rr = self.stable_fit()
-        res = cusum(rr)
+        res = cusum(self.stable_w())
         m = len(res.path)
         expected = 0.948 * (math.sqrt(m) + 2.0 * 1 / math.sqrt(m))
         assert res.upper_bound[0] == pytest.approx(expected, rel=1e-12)
@@ -374,13 +373,36 @@ class TestStability:
         # end, whatever order the sum of all squares would add them in
         z = gaussian_stream(m, m)
         for w in (scale * z, scale * np.abs(z) ** 3, scale * np.exp(3 * z)):
-            path = _cusumsq(w, 0.05).path
+            path = cusumsq(w).path
             assert path[-1] == 1.0
             assert np.all(np.diff(path) >= 0.0)
 
     def test_cusumsq_alpha_restricted(self):
         with pytest.raises(ConfigError):
-            cusumsq(self.stable_fit(), alpha=0.10)
+            cusumsq(self.stable_w(), alpha=0.10)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+    def test_cusum_reads_its_alpha_row(self, alpha):
+        w = self.stable_w()
+        res = cusum(w, alpha)
+        m = len(w)
+        assert res.alpha == alpha and m == len(res.path)
+        assert res.upper_bound[-1] == pytest.approx(
+            3 * CUSUM_CRITICAL[alpha] * math.sqrt(m), rel=1e-12)
+
+    @pytest.mark.parametrize("test", [cusum, cusumsq])
+    @pytest.mark.parametrize("w", [np.array([]), np.ones((4, 2))],
+                             ids=["empty", "2-d"])
+    def test_residuals_must_be_a_nonempty_vector(self, test, w):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            test(w)
+
+    @pytest.mark.parametrize("test", [cusum, cusumsq])
+    def test_a_list_reads_as_its_array(self, test):
+        w = self.stable_w()
+        a, b = test(list(w)), test(w)
+        assert a.stable == b.stable
+        assert a.path.tobytes() == b.path.tobytes()
 
 
 class TestBattery:
@@ -402,6 +424,41 @@ class TestBattery:
                                  pre=(0.0, 1.0), post=(2.0, 2.0), sigma=0.5))
         rr = fit(ds["Y"].values, C=np.ones(200), X=ds["X"].values)
         assert run_battery(rr).verdict == "fail"
+
+    @pytest.mark.parametrize("seed", [43, 5])
+    def test_stability_pair_shares_one_set_of_recursive_residuals(
+            self, seed, monkeypatch):
+        ds = generate(BreakModel(T=200, seed=seed, break_point=100,
+                                 pre=(0.0, 1.0), post=(2.0, 2.0), sigma=0.5))
+        rr = fit(ds["Y"].values, C=np.ones(200), X=ds["X"].values)
+        w = recursive_residuals(rr.y, rr.design)
+        calls = []
+
+        def counted(y, X):
+            calls.append(X)
+            return recursive_residuals(y, X)
+
+        monkeypatch.setattr(diagnostics, "recursive_residuals", counted)
+        report = run_battery(rr)
+        assert len(calls) == 1 and calls[0] is rr.design
+        for got, want in ((report.cusum, cusum(w)),
+                          (report.cusumsq, cusumsq(w))):
+            assert got.stable == want.stable and got.alpha == want.alpha
+            for field in ("path", "lower_bound", "upper_bound"):
+                assert getattr(got, field).tobytes() == \
+                    getattr(want, field).tobytes()
+
+    def test_default_include_is_the_whole_battery(self):
+        assert diagnostics.BATTERY == (
+            "serial_correlation", "functional_form", "normality",
+            "heteroscedasticity", "stability")
+        n = 120
+        z = gaussian_stream(73, 2 * n)
+        rr = fit(1.0 + z[:n] + z[n:], C=np.ones(n), X=z[:n])
+        report = run_battery(rr)
+        assert all(getattr(report, name) is not None for name in (
+            "serial_correlation", "functional_form", "normality",
+            "heteroscedasticity", "cusum", "cusumsq"))
 
     def test_subset_selection(self):
         n = 120

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -37,6 +38,8 @@ from ardlkit import (
     to_payload,
 )
 from ardlkit.cli import main
+from ardlkit.diagnostics import BATTERY
+from ardlkit.pipeline import DiagnosticsStage
 from ardlkit.report import render_payload
 from ardlkit.errors import ConfigError, I2VariablePresent
 from ardlkit.simgen import gaussian_stream
@@ -121,6 +124,27 @@ class TestConfigValidation:
         payload = base_config(tmp_path / "absent.csv")
         payload["models"][0]["bounds_case"] = "IV"
         with pytest.raises(ConfigError, match="bounds_case"):
+            parse_config(payload)
+
+    @pytest.mark.parametrize("switches", list(itertools.product(
+        (True, False), repeat=len(BATTERY))), ids=str)
+    def test_diagnostics_include_is_the_battery_order_filter(self, tmp_path,
+                                                              switches):
+        stage = DiagnosticsStage(**dict(zip(BATTERY, switches)))
+        assert stage.include() == tuple(
+            t for t, on in zip(BATTERY, switches) if on)
+        payload = base_config(tmp_path / "absent.csv",
+                              diagnostics=dict(zip(BATTERY, switches)))
+        assert parse_config(payload).diagnostics == stage
+
+    @pytest.mark.parametrize("key", ["enabled", *BATTERY])
+    def test_each_diagnostics_switch_is_read_and_checked(self, tmp_path,
+                                                         key):
+        payload = base_config(tmp_path / "absent.csv",
+                              diagnostics={key: False})
+        assert getattr(parse_config(payload).diagnostics, key) is False
+        payload["diagnostics"] = {key: "false"}
+        with pytest.raises(ConfigError, match=f"diagnostics.{key}"):
             parse_config(payload)
 
 
@@ -301,6 +325,23 @@ class TestPipelineRun:
         assert "% of a disequilibrium shock is corrected each period" in text
         assert "cointegrated" in text
 
+    def test_text_tables_show_every_coefficient_row(self, report):
+        text = render_report(report, "text").decode().splitlines()
+        model = to_payload(report)["models"][0]
+        starred = 0
+        for title, rows in (
+                ("long-run coefficients", model["long_run"]["rows"]),
+                ("short-run (error-correction) coefficients",
+                 model["short_run"]["rows"])):
+            start = text.index(title) + 3   # title, header, rule
+            assert len(text[start:start + len(rows)]) == len(rows)
+            for line, r in zip(text[start:start + len(rows)], rows):
+                assert line.split() == [
+                    r["variable"], f"{r['coefficient']:.6f}{r['stars']}",
+                    f"{r['std_error']:.6f}", f"{r['t_stat']:.6f}"]
+                starred += bool(r["stars"])
+        assert starred
+
     def test_unknown_format(self, report):
         with pytest.raises(ConfigError):
             render_report(report, "xml")
@@ -325,6 +366,22 @@ class TestGates:
         assert mr.bounds.decision == "not_cointegrated"
         assert mr.long_run is None and mr.ecm is None
         assert any("suppressed" in w for w in report.warnings)
+
+    @pytest.mark.parametrize("command", ["pipeline", "ardl"])
+    def test_cli_input_and_force_override_the_config(self, tmp_path, capsys,
+                                                     command):
+        y = generate(RandomWalk(T=400, seed=170))["Y"].values
+        x = generate(RandomWalk(T=400, seed=171))["Y"].values
+        csv = write_csv(tmp_path / "rw.csv", {"Y": y, "X": x})
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(base_config(tmp_path / "absent.csv")))
+        argv = [command, "--config", str(cfg), "--input", str(csv),
+                "--format", "json"]
+        for extra, suppressed in (([], True), (["--force"], False)):
+            assert main(argv + extra) == 0
+            model = json.loads(capsys.readouterr().out)["models"][0]
+            assert model["bounds"]["decision"] == "not_cointegrated"
+            assert (model["long_run"] is None) is suppressed
 
     def test_force_overrides_gate(self, tmp_path):
         y = generate(RandomWalk(T=400, seed=170))["Y"].values

@@ -21,6 +21,7 @@ from ardlkit import (
 from ardlkit.critvals import adf_critical_values
 from ardlkit.errors import (
     ArdlkitError,
+    ConfigError,
     PerfectFitDegenerate,
     RankDeficient,
     SampleTooShort,
@@ -470,3 +471,17 @@ class TestClassification:
         order = classify_integration(s, UnitRootConfig(test="PP"))
         assert order.order == "I1"
         assert order.evidence[0].test == "PP"
+
+
+class TestUnitRootConfig:
+    @pytest.mark.parametrize("rule", [None, 1, "aic", "bogus"])
+    @pytest.mark.parametrize("test", [None, 3, "adf", "bogus"])
+    def test_a_test_or_rule_that_is_not_a_name_is_a_config_error(self, test,
+                                                                 rule):
+        if test == "adf" and rule == "aic":
+            cfg = UnitRootConfig(test=test, rule=rule)
+            assert (cfg.test, cfg.rule) == ("adf", "aic")
+        else:
+            bad = "test" if test != "adf" else "rule"
+            with pytest.raises(ConfigError, match=f"unit_root.{bad}"):
+                UnitRootConfig(test=test, rule=rule)
