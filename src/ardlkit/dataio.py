@@ -1,19 +1,19 @@
 """CSV ingestion, date-indexed series, and the lag/difference/log transforms.
 
-Series are stored against an exact integer calendar: a period stamp is a
-(year, sub) pair and gap detection is integer arithmetic on the period
-ordinal, never string comparison. All containers are immutable after
+A series is its first period and its values: a period stamp is a
+(year, sub) pair, the index is derived from the start and the length, and
+all period arithmetic is integer arithmetic on the period ordinal inside
+this module, never string comparison. All containers are immutable after
 construction and every transform returns a new object.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -100,63 +100,58 @@ def period_ordinal(period: Period, frequency: Frequency) -> int:
     return year * frequency.periods_per_year + (sub - 1)
 
 
-@lru_cache(maxsize=64)
-def _ordinals(index: tuple[Period, ...], frequency: Frequency) -> np.ndarray:
-    """period_ordinal of every stamp of an index, in one pass; read-only,
-    and computed once per (index, frequency) of the 64 used last, since
-    every series of a dataset, and every transform of one, checks the
-    same calendar."""
-    flat = np.fromiter(itertools.chain.from_iterable(index), dtype=np.int64)
-    if flat.size != 2 * len(index):
-        raise ValueError("every period stamp must be a (year, sub) pair")
-    ords = flat[0::2] * frequency.periods_per_year + (flat[1::2] - 1)
-    ords.flags.writeable = False
-    return ords
+def _period(ordinal: int, frequency: Frequency) -> Period:
+    """The period at an ordinal: the inverse of period_ordinal."""
+    year, sub = divmod(ordinal, frequency.periods_per_year)
+    return (year, sub + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A named, date-indexed vector of real observations.
-
-    Invariants enforced at construction: index strictly increasing with
-    no gaps at the declared frequency, one value per stamp, and every
-    value finite.
+    """A named vector of real observations on consecutive periods: its
+    first period ``start``, a (year, sub) pair of whole numbers with sub in
+    1..periods_per_year, and its finite values. ``index`` is derived from
+    them, so a series holds no gap and no repeated stamp.
     """
 
     name: str
     frequency: Frequency
-    index: tuple[Period, ...]
+    start: Period
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "index", tuple(self.index))
-        if len(self.index) != len(vals):
+        per_year = self.frequency.periods_per_year
+        try:
+            year, sub = map(operator.index, self.start)
+            if not 1 <= sub <= per_year:
+                raise ValueError
+        except (TypeError, ValueError):
             raise ValueError(
-                f"series {self.name!r}: {len(self.index)} stamps for "
-                f"{len(vals)} values"
-            )
+                f"series {self.name!r}: start must be a (year, sub) pair of "
+                f"whole numbers with sub in 1..{per_year}, got {self.start!r}"
+            ) from None
+        object.__setattr__(self, "start", (year, sub))
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(
                 f"series {self.name!r}: non-finite value at position {bad}"
             )
-        ords = _ordinals(self.index, self.frequency)
-        gaps = np.flatnonzero(np.diff(ords) != 1)
-        if gaps.size:
-            i = int(gaps[0]) + 1
-            raise NonMonotoneIndex(
-                f"series {self.name!r}: index not contiguous at "
-                f"{format_period(self.index[i], self.frequency)}"
-            )
+
+    @property
+    def index(self) -> tuple[Period, ...]:
+        """The period of every value, from start on."""
+        first = period_ordinal(self.start, self.frequency)
+        return tuple(_period(o, self.frequency)
+                     for o in range(first, first + len(self)))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def rename(self, name: str) -> "TimeSeries":
-        return TimeSeries(name, self.frequency, self.index, self.values)
+        return TimeSeries(name, self.frequency, self.start, self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +168,7 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of series sharing one index, with one dependent."""
+    """A collection of series on one calendar, with one dependent."""
 
     series: dict[str, TimeSeries]
     roles: dict[str, str]
@@ -182,9 +177,11 @@ class Dataset:
     def __post_init__(self):
         if not self.series:
             raise ValueError("dataset must contain at least one series")
-        indexes = {s.index for s in self.series.values()}
-        if len(indexes) != 1:
-            raise ValueError("all member series must share one index")
+        calendars = {(s.frequency, s.start, len(s))
+                     for s in self.series.values()}
+        if len(calendars) != 1:
+            raise ValueError("all member series must share one frequency, "
+                             "start and length")
         dependents = [n for n, r in self.roles.items() if r == "dependent"]
         if len(dependents) != 1:
             raise ValueError(
@@ -202,7 +199,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.index)
+        return len(next(iter(self.series.values())))
 
     @property
     def dependent(self) -> str:
@@ -329,8 +326,8 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
     if not rows:
         raise ParseError(2, cfg.date_column, "no data rows")
 
-    steps = np.flatnonzero(np.diff(_ordinals(tuple(periods), frequency))
-                           <= 0)
+    ords = period_ordinal(np.array(periods, dtype=np.int64).T, frequency)
+    steps = np.flatnonzero(np.diff(ords) <= 0)
     if steps.size:
         i = int(steps[0]) + 1
         raise NonMonotoneIndex(
@@ -353,11 +350,11 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
             keep = ~holes.any(axis=1)
             dropped = int((~keep).sum())
             data = data[keep]
-            periods = [p for p, k in zip(periods, keep) if k]
-            if len(periods) == 0:
+            ords = ords[keep]
+            if len(ords) == 0:
                 raise MissingValuePolicyViolation("every row has a hole")
         else:  # interpolate
-            pos = np.arange(len(periods), dtype=np.float64)
+            pos = np.arange(len(data), dtype=np.float64)
             for c in range(data.shape[1]):
                 col_holes = holes[:, c]
                 if not col_holes.any():
@@ -373,18 +370,26 @@ def load_csv(path, cfg: IngestionConfig = IngestionConfig()) -> Dataset:
                 )
                 imputed += int(col_holes.sum())
 
-    # Contiguity is rechecked post-policy: dropping an interior row would
-    # silently corrupt every lag/difference downstream.
+    # a gap in the file, or one left by dropping an interior row, would
+    # silently corrupt every lag/difference downstream
+    gaps = np.flatnonzero(np.diff(ords) != 1)
+    if gaps.size:
+        i = int(gaps[0]) + 1
+        bad, prev = (format_period(_period(int(o), frequency), frequency)
+                     for o in (ords[i], ords[i - 1]))
+        raise NonMonotoneIndex(f"index not contiguous at {bad} (after {prev})")
+
     provenance = Provenance(
         source_path=str(path),
         rows_read=rows_read,
-        rows_used=len(periods),
+        rows_used=len(ords),
         policy=cfg.missing_policy,
         rows_dropped=dropped,
         cells_imputed=imputed,
     )
+    start = _period(int(ords[0]), frequency)
     series = {
-        col: TimeSeries(col, frequency, tuple(periods), data[:, j])
+        col: TimeSeries(col, frequency, start, data[:, j])
         for j, col in enumerate(value_cols)
     }
     dependent = cfg.dependent if cfg.dependent is not None else value_cols[0]
@@ -419,7 +424,7 @@ def log_transform(s: TimeSeries) -> TimeSeries:
     if bad.size:
         pos = int(bad[0])
         raise NonPositiveValue(pos, float(s.values[pos]))
-    return TimeSeries(f"LN{s.name}", s.frequency, s.index, np.log(s.values))
+    return TimeSeries(f"LN{s.name}", s.frequency, s.start, np.log(s.values))
 
 
 def difference(s: TimeSeries, order: int = 1) -> TimeSeries:
@@ -436,8 +441,8 @@ def difference(s: TimeSeries, order: int = 1) -> TimeSeries:
             f"differencing of order {order} needs more"
         )
     name = f"D{s.name}" if order == 1 else f"D{order}{s.name}"
-    return TimeSeries(name, s.frequency, s.index[order:],
-                      np.diff(s.values, n=order))
+    start = _period(period_ordinal(s.start, s.frequency) + order, s.frequency)
+    return TimeSeries(name, s.frequency, start, np.diff(s.values, n=order))
 
 
 def lag(s: TimeSeries, k: int) -> TimeSeries:
@@ -452,5 +457,20 @@ def lag(s: TimeSeries, k: int) -> TimeSeries:
         raise SeriesTooShort(
             f"series {s.name!r} has {len(s)} observations; lag {k} needs more"
         )
-    return TimeSeries(f"{s.name}(-{k})", s.frequency, s.index[k:],
-                      s.values[:-k])
+    start = _period(period_ordinal(s.start, s.frequency) + k, s.frequency)
+    return TimeSeries(f"{s.name}(-{k})", s.frequency, start, s.values[:-k])
+
+
+def common_sample(series: list[TimeSeries]) -> list[TimeSeries]:
+    """Each series cut to the periods that every one of them covers (the
+    intersection sample); [] when they share no period. The series share
+    the first one's frequency."""
+    freq = series[0].frequency
+    firsts = [period_ordinal(s.start, freq) for s in series]
+    lo = max(firsts)
+    hi = min(f + len(s) for f, s in zip(firsts, series))
+    if hi <= lo:
+        return []
+    start = _period(lo, freq)
+    return [TimeSeries(s.name, freq, start, s.values[lo - f:hi - f])
+            for f, s in zip(firsts, series)]

@@ -268,7 +268,11 @@ def run_battery(rr: RegressionResult, bg_lags: int = 2, reset_powers=(2,),
                 include: tuple[str, ...] = BATTERY) -> DiagnosticsReport:
     """Run the tests of the battery that include names (a subset of
     BATTERY) on one regression; CUSUM and CUSUMSQ read one set of
-    recursive residuals."""
+    recursive residuals. A name not in BATTERY is a ValueError."""
+    unknown = [t for t in include if t not in BATTERY]
+    if unknown:
+        raise ValueError(f"unknown diagnostics {unknown}; expected names "
+                         f"from {BATTERY}")
     sc = breusch_godfrey(rr, bg_lags) \
         if "serial_correlation" in include else None
     ff = ramsey_reset(rr, reset_powers) \

@@ -72,7 +72,8 @@ TREND_NAME = "TREND"
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Named regressor columns, shape (n, k) with n > k."""
+    """Named regressor columns, shape (n, k) with n > k >= 1; a matrix
+    with no column is a DimensionMismatch."""
 
     names: tuple[str, ...]
     matrix: np.ndarray
@@ -88,6 +89,8 @@ class DesignMatrix:
             raise DimensionMismatch(
                 f"{len(self.names)} names for {mat.shape[1]} columns"
             )
+        if not self.names:
+            raise DimensionMismatch("design matrix has no columns")
         if len(set(self.names)) != len(self.names):
             raise ValueError("design column names must be unique")
         if mat.shape[0] <= mat.shape[1]:
@@ -97,6 +100,8 @@ class DesignMatrix:
 
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray]) -> "DesignMatrix":
+        """The design of named column vectors. No estimator calls it; it
+        stays to build a design by hand, as the tests and demo 03 do."""
         names = tuple(columns)
         mat = np.column_stack([np.asarray(columns[n], dtype=np.float64)
                                for n in names])

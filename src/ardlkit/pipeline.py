@@ -311,6 +311,10 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
            for key in ("enabled", *BATTERY)},
     )
 
+    alpha = _converted(payload.get("alpha", 0.05), "alpha")
+    if alpha not in DEFAULT_LEVELS:
+        raise ConfigError(f"alpha must be one of 1%, 5%, 10%, got {alpha!r}")
+
     out = _mapping(payload.get("output"), "output")
     cfg = PipelineConfig(
         input_path=_resolve(str(inp["path"])),
@@ -320,7 +324,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         levels=levels,
         unit_root=unit_root,
         diagnostics=diagnostics,
-        alpha=_converted(payload.get("alpha", 0.05), "alpha"),
+        alpha=alpha,
         force=_flag(payload.get("force", False), "force"),
         json_path=_resolve(out.get("json")),
         text_path=_resolve(out.get("text")),
@@ -387,22 +391,12 @@ def _align(variables: dict[str, TimeSeries], names: tuple[str, ...],
     missing = [n for n in names if n not in variables]
     if missing:
         raise ConfigError(f"undefined variables referenced: {missing}")
-    chosen = {n: variables[n] for n in names}
-    freq = next(iter(chosen.values())).frequency
-    start = max(dataio.period_ordinal(s.index[0], freq)
-                for s in chosen.values())
-    stop = min(dataio.period_ordinal(s.index[-1], freq)
-               for s in chosen.values())
-    if stop < start:
+    trimmed = dataio.common_sample([variables[n] for n in names])
+    if not trimmed:
         raise ConfigError("series have no overlapping sample")
-    trimmed = {}
-    for n, s in chosen.items():
-        lo = start - dataio.period_ordinal(s.index[0], freq)
-        hi = stop - dataio.period_ordinal(s.index[0], freq) + 1
-        trimmed[n] = TimeSeries(n, freq, s.index[lo:hi], s.values[lo:hi])
     roles = {n: ("dependent" if n == dependent else "regressor")
              for n in names}
-    return Dataset(series=trimmed, roles=roles)
+    return Dataset(series=dict(zip(names, trimmed)), roles=roles)
 
 
 def unit_root_table(series: dict[str, TimeSeries],

@@ -14,7 +14,6 @@ independent streams and can run in any order or in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,23 +47,9 @@ def _ar_filter(innovations: np.ndarray, ar_coefs) -> np.ndarray:
     return lfilter([1.0], denom, innovations)
 
 
-@lru_cache(maxsize=64)
-def _monthly_index(n: int) -> tuple[tuple[int, int], ...]:
-    """The n-month calendar from _START_PERIOD, built once per length
-    (the 64 lengths used last are kept)."""
-    year, month = _START_PERIOD
-    out = []
-    for i in range(n):
-        m = month + i
-        out.append((year + (m - 1) // 12, (m - 1) % 12 + 1))
-    return tuple(out)
-
-
 def _dataset(columns: dict[str, np.ndarray], dependent: str) -> Dataset:
-    n = len(next(iter(columns.values())))
-    index = _monthly_index(n)
     series = {
-        name: TimeSeries(name, Frequency.MONTHLY, index, values)
+        name: TimeSeries(name, Frequency.MONTHLY, _START_PERIOD, values)
         for name, values in columns.items()
     }
     roles = {name: ("dependent" if name == dependent else "regressor")

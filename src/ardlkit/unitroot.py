@@ -335,7 +335,9 @@ def classify_integration(s: TimeSeries,
                          ) -> IntegrationOrder:
     """Classify a series as I(0), I(1) or higher from cfg's test on its
     level and first difference (see IntegrationOrder.from_tests). Both
-    test results ship as evidence.
+    test results ship as evidence. It stays for the pipeline's
+    ``unit_root.spec: none`` path, which its table does not cover, and
+    for one series outside a pipeline, as in demo 01.
     """
     return IntegrationOrder.from_tests(
         s.name, _run_test(s, cfg), _run_test(difference(s, 1), cfg),

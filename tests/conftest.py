@@ -11,19 +11,9 @@ import pytest
 from ardlkit import Dataset, Frequency, TimeSeries
 
 
-def monthly_index(n, start=(2000, 1)):
-    year, month = start
-    out = []
-    for i in range(n):
-        m = month + i
-        out.append((year + (m - 1) // 12, (m - 1) % 12 + 1))
-    return tuple(out)
-
-
 def make_series(values, name="Y"):
     values = np.asarray(values, dtype=np.float64)
-    return TimeSeries(name, Frequency.MONTHLY, monthly_index(len(values)),
-                      values)
+    return TimeSeries(name, Frequency.MONTHLY, (2000, 1), values)
 
 
 def make_dataset(columns, dependent):

@@ -16,7 +16,7 @@ from ardlkit import (
     log_transform,
     save_csv,
 )
-from ardlkit.dataio import _ordinals, format_period
+from ardlkit.dataio import common_sample, format_period
 from ardlkit.errors import (
     MissingValuePolicyViolation,
     NonMonotoneIndex,
@@ -32,6 +32,29 @@ def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+# One good run of eight stamps per frequency, and faults that make stamp 3
+# the first bad one of six (the gap has a second gap after it): the error
+# must name stamp 3.
+_STAMPS = {
+    Frequency.MONTHLY: ([(2000, 11), (2000, 12), (2001, 1), (2001, 2),
+                         (2001, 3), (2001, 4), (2001, 5), (2001, 6)],
+                        "YYYY-MM"),
+    Frequency.QUARTERLY: ([(2000, 3), (2000, 4), (2001, 1), (2001, 2),
+                           (2001, 3), (2001, 4), (2002, 1), (2002, 2)],
+                          "YYYY-Qq"),
+    Frequency.ANNUAL: ([(1998, 1), (1999, 1), (2000, 1), (2001, 1),
+                        (2002, 1), (2003, 1), (2004, 1), (2005, 1)], "YYYY"),
+}
+_FAULTS = {
+    # stamp 3 skips one period, stamp 4 another
+    "gap": lambda ix: ix[:3] + ix[4:5] + ix[6:],
+    # stamp 3 repeats stamp 2
+    "duplicate": lambda ix: ix[:3] + [ix[2]] + ix[3:5],
+    # stamp 3 steps back to stamp 1
+    "backwards": lambda ix: ix[:3] + [ix[1]] + ix[2:4],
+}
 
 
 class TestLoadCsv:
@@ -74,7 +97,9 @@ class TestLoadCsv:
         # dropping a middle row would punch a hole in the calendar, which
         # would silently corrupt every lag downstream
         p = write(tmp_path, "date,op\n2000-01,25.0\n2000-02,\n2000-03,27.5\n")
-        with pytest.raises(NonMonotoneIndex):
+        with pytest.raises(NonMonotoneIndex, match="^index not contiguous "
+                                                   "at 2000-03 \\(after "
+                                                   "2000-01\\)$"):
             load_csv(p, IngestionConfig(missing_policy="drop_row"))
 
     def test_interpolate_interior_hole(self, tmp_path):
@@ -100,15 +125,21 @@ class TestLoadCsv:
         ds = load_csv(p, IngestionConfig(date_format="YYYY-Qq"))
         assert ds.index == ((2001, 4), (2002, 1))
 
-    def test_roundtrip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
+    def test_roundtrip_bit_exact(self, tmp_path, freq):
         vals = [25.125, 1.0 / 3.0, 27.5, math.pi, 1e-17]
-        rows = "\n".join(f"2000-{m:02d},{v!r}" for m, v in enumerate(vals, 1))
+        stamps, fmt = _STAMPS[freq]
+        rows = "\n".join(f"{format_period(p, freq)},{v!r}"
+                         for p, v in zip(stamps, vals))
         p = write(tmp_path, "date,op\n" + rows + "\n")
-        ds = load_csv(p)
+        cfg = IngestionConfig(date_format=fmt)
+        ds = load_csv(p, cfg)
         out = tmp_path / "back.csv"
         save_csv(ds, out)
-        again = load_csv(out)
+        again = load_csv(out, cfg)
         assert again["op"].values.tolist() == ds["op"].values.tolist()
+        assert again["op"].start == ds["op"].start == stamps[0]
+        assert again.index == ds.index == tuple(stamps[:5])
 
     def test_dependent_role_from_config(self, tmp_path):
         p = write(tmp_path, "date,a,b\n2000-01,1,2\n2000-02,3,4\n")
@@ -123,82 +154,78 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(series={"Y": s}, roles={"Y": "regressor"})
 
-    def test_shared_index_enforced(self):
+    @pytest.mark.parametrize("freq, start, n", [
+        (Frequency.MONTHLY, (2000, 1), 2),
+        (Frequency.MONTHLY, (2000, 2), 3),
+        (Frequency.QUARTERLY, (2000, 1), 3),
+    ], ids=["length", "start", "frequency"])
+    def test_shared_index_enforced(self, freq, start, n):
         a = make_series([1.0, 2.0, 3.0], "A")
-        b = make_series([1.0, 2.0], "B")
-        with pytest.raises(ValueError):
+        b = TimeSeries("B", freq, start, np.arange(float(n)))
+        with pytest.raises(ValueError, match="one frequency, start and "
+                                             "length"):
             Dataset(series={"A": a, "B": b},
                     roles={"A": "dependent", "B": "regressor"})
-
-
-# One good run of six stamps per frequency, and faults that make stamp 3
-# the first bad one (the gap has a second fault after it): the error
-# must name stamp 3.
-_STAMPS = {
-    Frequency.MONTHLY: ([(2000, 11), (2000, 12), (2001, 1), (2001, 2),
-                         (2001, 3), (2001, 4)], "YYYY-MM"),
-    Frequency.QUARTERLY: ([(2000, 3), (2000, 4), (2001, 1), (2001, 2),
-                           (2001, 3), (2001, 4)], "YYYY-Qq"),
-    Frequency.ANNUAL: ([(1998, 1), (1999, 1), (2000, 1), (2001, 1),
-                        (2002, 1), (2003, 1)], "YYYY"),
-}
-_FAULTS = {
-    # stamp 3 skips one period, stamp 5 another
-    "gap": lambda ix: ix[:3] + ix[4:5] + [ix[5], ix[5]],
-    # stamp 3 repeats stamp 2
-    "duplicate": lambda ix: ix[:3] + [ix[2]] + ix[3:5],
-    # stamp 3 steps back to stamp 1
-    "backwards": lambda ix: ix[:3] + [ix[1]] + ix[2:4],
-}
-
-
-def _faulty(freq, fault):
-    good, fmt = _STAMPS[freq]
-    index = _FAULTS[fault](list(good))
-    assert len(index) == len(good)
-    return good, index, fmt
 
 
 class TestIndexChecks:
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
-    def test_series_names_the_first_bad_stamp(self, freq, fault):
-        good, index, _ = _faulty(freq, fault)
-        TimeSeries("Y", freq, tuple(good), np.arange(6.0))
-        bad = format_period(index[3], freq)
-        with pytest.raises(NonMonotoneIndex,
-                           match=f"'Y': index not contiguous at {bad}$"):
-            TimeSeries("Y", freq, tuple(index), np.arange(6.0))
-
-    @pytest.mark.parametrize("fault", ["duplicate", "backwards"])
-    @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
     def test_csv_names_the_first_stamp_out_of_order(self, tmp_path, freq,
                                                     fault):
-        _, index, fmt = _faulty(freq, fault)
+        good, fmt = _STAMPS[freq]
+        index = _FAULTS[fault](list(good))
         lines = [f"{format_period(p, freq)},{i}.0"
                  for i, p in enumerate(index)]
         p = write(tmp_path, "date,op\n" + "\n".join(lines) + "\n")
         bad, prev = (format_period(index[i], freq) for i in (3, 2))
-        with pytest.raises(NonMonotoneIndex,
-                           match=f"^date {bad} at data row 4 does not "
-                                 f"follow {prev}$"):
+        message = (f"^index not contiguous at {bad} \\(after {prev}\\)$"
+                   if fault == "gap" else
+                   f"^date {bad} at data row 4 does not follow {prev}$")
+        with pytest.raises(NonMonotoneIndex, match=message):
             load_csv(p, IngestionConfig(date_format=fmt))
 
-    def test_calendar_check_is_cached_and_read_only(self):
-        # every series of a dataset checks the same calendar: equal
-        # indexes share one read-only ordinal array, per frequency
-        index = tuple((2000 + i // 12, i % 12 + 1) for i in range(200))
-        ords = _ordinals(index, Frequency.MONTHLY)
-        assert _ordinals(tuple(list(index)), Frequency.MONTHLY) is ords
-        assert not ords.flags.writeable
-        assert np.array_equal(ords, 24000 + np.arange(200))
-        assert _ordinals(index, Frequency.QUARTERLY) is not ords
-        assert _ordinals.cache_info().maxsize is not None
+    @pytest.mark.parametrize("freq, start", [
+        (Frequency.MONTHLY, (2000,)),
+        (Frequency.MONTHLY, (2000, 1, 1)),
+        (Frequency.MONTHLY, 2000),
+        (Frequency.MONTHLY, (2000, 13)),
+        (Frequency.QUARTERLY, (2000, 5)),
+        (Frequency.ANNUAL, (2000, 2)),
+        (Frequency.ANNUAL, (2000, 0)),
+        (Frequency.MONTHLY, (2000, 1.0)),
+        (Frequency.MONTHLY, (2000.5, 1)),
+        (Frequency.MONTHLY, ("2000", 1)),
+    ], ids=str)
+    def test_start_must_be_a_period(self, freq, start):
+        with pytest.raises(ValueError, match="^series 'Y': start must be"):
+            TimeSeries("Y", freq, start, np.zeros(2))
 
-    def test_stamps_must_be_pairs(self):
-        with pytest.raises(ValueError, match="pair"):
-            TimeSeries("Y", Frequency.ANNUAL, ((2000, 1), (2001, 1, 1)),
-                       np.zeros(2))
+    def test_start_is_normalized_to_ints(self):
+        s = TimeSeries("Y", Frequency.QUARTERLY, np.array([2000, 4]),
+                       np.zeros(3))
+        assert s.start == (2000, 4) and type(s.start[0]) is int
+        assert s.index == ((2000, 4), (2001, 1), (2001, 2))
+
+    @pytest.mark.parametrize("freq", list(_STAMPS), ids=lambda f: f.value)
+    def test_common_sample_matches_stamp_slicing(self, freq):
+        # a levels series and its [log, diff] transform, trimmed by the
+        # calendar, equal the values at the stamps both indexes hold
+        level = TimeSeries("L", freq, _STAMPS[freq][0][0],
+                           np.exp(np.arange(1.0, 9.0) ** 0.5))
+        both = (level, difference(log_transform(level)))
+        common = sorted(set(both[0].index) & set(both[1].index))
+        for order in (both, both[::-1]):
+            trimmed = common_sample(list(order))
+            for s, t in zip(order, trimmed):
+                at = dict(zip(s.index, s.values))
+                assert t.name == s.name and t.frequency is freq
+                assert t.index == tuple(common)
+                assert t.values.tolist() == [at[p] for p in common]
+        late = TimeSeries("M", freq, common[-1], np.ones(3))
+        assert common_sample([lag(level, 7), late])[0].values.tolist() == [
+            level.values[0]]
+        assert common_sample([level, lag(late, 2)]) == []
 
 
 class TestTransforms:

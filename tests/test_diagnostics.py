@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -460,14 +462,32 @@ class TestBattery:
             "serial_correlation", "functional_form", "normality",
             "heteroscedasticity", "cusum", "cusumsq"))
 
-    def test_subset_selection(self):
+    @pytest.mark.parametrize("include", [
+        sub for r in range(len(diagnostics.BATTERY) + 1)
+        for sub in itertools.combinations(diagnostics.BATTERY, r)], ids=str)
+    def test_subset_selection(self, include):
         n = 120
         z = gaussian_stream(73, 2 * n)
         rr = fit(1.0 + z[:n] + z[n:], C=np.ones(n), X=z[:n])
-        report = run_battery(rr, include=("normality",))
-        assert report.normality is not None
-        assert report.serial_correlation is None
-        assert report.cusum is None
+        report = run_battery(rr, include=include)
+        for name in diagnostics.BATTERY:
+            fields = ("cusum", "cusumsq") if name == "stability" else (name,)
+            for field in fields:
+                assert (getattr(report, field) is not None) == (
+                    name in include)
+
+    @pytest.mark.parametrize("include, named", [
+        (("stabilty",), "['stabilty']"),
+        (("normality", "Stability", "cusum"), "['Stability', 'cusum']"),
+    ], ids=["misspelled", "case-and-field-names"])
+    def test_unknown_test_names_are_refused(self, monkeypatch, include,
+                                            named):
+        n = 120
+        z = gaussian_stream(73, 2 * n)
+        rr = fit(1.0 + z[:n] + z[n:], C=np.ones(n), X=z[:n])
+        monkeypatch.setattr(diagnostics, "jarque_bera", None)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_battery(rr, include=include)
 
 
 class TestPValues:

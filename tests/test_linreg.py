@@ -161,6 +161,12 @@ class TestOlsInvariants:
         with pytest.raises(DimensionMismatch):
             ols(np.ones(4), design(C=np.ones(5)))
 
+    def test_design_needs_a_column(self):
+        with pytest.raises(DimensionMismatch, match="no columns"):
+            DesignMatrix((), np.empty((2, 0)))
+        with pytest.raises(DimensionMismatch, match="no columns"):
+            design(C=np.ones(5)).drop(["C"])
+
 
 N_CONST = 12
 _RAMP = np.arange(1.0, N_CONST + 1.0)

@@ -684,6 +684,12 @@ def _log_transform_as(transforms):
     return edit
 
 
+def _alpha_without_input(payload, tmp_path):
+    # alpha is refused while the config is parsed, before the input is read
+    payload["alpha"] = 0.2
+    payload["input"]["path"] = str(tmp_path / "absent.csv")
+
+
 @pytest.mark.parametrize("edit, code, names", [
     (_inf_cell, 3, "column 'Y'"),
     (_setting("unit_root", "max_lag", -1), 2, "unit_root.max_lag"),
@@ -709,6 +715,7 @@ def _log_transform_as(transforms):
     (_setting("input", "dependent", ["Y"]), 2, "input.dependent"),
     (_setting("input", "date_format", {}), 2, "input.date_format"),
     (_model("dependent", ["Y"]), 2, "dependent"),
+    (_alpha_without_input, 2, "error: alpha must be one of"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
         "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
         "levels-text", "unit_root-alpha-text", "max_p-text",
@@ -716,7 +723,7 @@ def _log_transform_as(transforms):
         "diagnostics-enabled-text", "variables-bool", "unit_root-list",
         "diagnostics-text", "output-list", "value_columns-number",
         "input-dependent-list", "date_format-mapping",
-        "model-dependent-list"])
+        "model-dependent-list", "alpha-0.2-no-input"])
 def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")

