@@ -86,7 +86,11 @@ def parse_period(text: str, date_format: str) -> Period:
 
 
 def format_period(period: Period, frequency: Frequency) -> str:
+    """The stamp of a period as a CSV writes it. ``frequency`` is read
+    with ``Frequency(frequency)``, so its text names it as well; any
+    other value raises ValueError."""
     year, sub = period
+    frequency = Frequency(frequency)
     if frequency is Frequency.MONTHLY:
         return f"{year:04d}-{sub:02d}"
     if frequency is Frequency.QUARTERLY:
@@ -95,9 +99,10 @@ def format_period(period: Period, frequency: Frequency) -> str:
 
 
 def period_ordinal(period: Period, frequency: Frequency) -> int:
-    """Integer position of a period on the frequency's calendar line."""
+    """Integer position of a period on the frequency's calendar line,
+    with ``frequency`` read as in ``format_period``."""
     year, sub = period
-    return year * frequency.periods_per_year + (sub - 1)
+    return year * Frequency(frequency).periods_per_year + (sub - 1)
 
 
 def _period(ordinal: int, frequency: Frequency) -> Period:
@@ -111,7 +116,10 @@ class TimeSeries:
     """A named vector of real observations on consecutive periods: its
     first period ``start``, a (year, sub) pair of whole numbers with sub in
     1..periods_per_year, and its finite values. ``index`` is derived from
-    them, so a series holds no gap and no repeated stamp.
+    them, so a series holds no gap and no repeated stamp. ``frequency`` is
+    stored as ``Frequency(frequency)``, so "monthly" means
+    ``Frequency.MONTHLY``; any other value raises ValueError naming the
+    series.
     """
 
     name: str
@@ -123,7 +131,15 @@ class TimeSeries:
         vals = np.asarray(self.values, dtype=np.float64)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        per_year = self.frequency.periods_per_year
+        try:
+            frequency = Frequency(self.frequency)
+        except ValueError:
+            raise ValueError(
+                f"series {self.name!r}: frequency must be one of "
+                f"{[f.value for f in Frequency]}, got {self.frequency!r}"
+            ) from None
+        object.__setattr__(self, "frequency", frequency)
+        per_year = frequency.periods_per_year
         try:
             year, sub = map(operator.index, self.start)
             if not 1 <= sub <= per_year:

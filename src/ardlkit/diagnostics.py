@@ -11,7 +11,8 @@ none takes another design. No test refits the model. The auxiliary
 regressions of Breusch-Godfrey, Breusch-Pagan and RESET are read from
 the fit's own QR with the lagged residuals, nothing, or the powers of
 the fitted values appended (``linreg.appended_effects``); the recursive
-residuals come from one blocked QR of the row prefixes
+residuals are y on the staircase basis of the design's orthogonal
+complement, one QR and one RQ per block of rows
 (``linreg.prefix_residuals``).
 """
 
@@ -195,9 +196,10 @@ def recursive_residuals(y, X: DesignMatrix) -> np.ndarray:
     Starting from the first k observations, each subsequent y is
     predicted from the fit so far; the errors are scaled so they are
     iid N(0, sigma^2) under stability, and their squares add up to the
-    full-sample RSS. Computed from QR triangles of the growing prefixes
-    of [X y] by ``linreg.prefix_residuals``, after the first k rows pass
-    the rank check of ``ols``.
+    full-sample RSS. Computed by ``linreg.prefix_residuals`` as the
+    projections of y on the staircase basis of X's orthogonal complement
+    (column t on rows 0..t, positive on row t), one QR and one RQ per
+    block of rows, after the first k rows pass the rank check of ``ols``.
 
     Raises
     ------

@@ -5,12 +5,13 @@ variance.
 Every test in the toolkit reduces to a call into this module. Fits go
 through a pivoted QR decomposition, never the raw normal equations, with
 rank declared deficient below 1e-10 of the largest column norm. Every
-factorization goes through one kernel, ``_householder``, which calls
+QR goes through one kernel, ``_householder``, which calls
 LAPACK's Householder QR (geqp3 with column pivoting, geqrf without,
 orgqr for Q) directly, with the workspace, pivots and finiteness check
 of scipy's ``qr`` and its numbers bit for bit; triangular solves
-call LAPACK trtrs. Only the batched QR of ``prefix_residuals``, and the
-batched solve on its triangles, run on numpy's LAPACK.
+call LAPACK trtrs, and the recursive residuals add one RQ (gerqf, and
+orgrq for its Q). Every factorization runs on the LAPACK that scipy
+links; numpy only multiplies matrices.
 
 A lag search needs no fit per candidate. ``nested_criteria`` scores
 every leading column block of the largest design from one QR (the
@@ -19,8 +20,9 @@ scores the leading blocks of several column orderings of one superset
 design from that same QR, refactoring only the small triangle. Both
 read each RSS as a tail sum of an effects vector and score it by the
 same AIC/SBC formulas as ``ols`` results. Recursive residuals
-(``prefix_residuals``) come from the QR triangles of the growing row
-prefixes of [X | y], batched a block of prefixes at a time.
+(``prefix_residuals``) are the projections of y on the staircase basis
+of X's orthogonal complement, a block of rows at a time from one QR and
+one RQ.
 
 A fit keeps its factorization (Q, R and the pivots), and the tests on
 a fitted model read it instead of refitting (Frisch-Waugh-Lovell, with
@@ -59,12 +61,13 @@ RANK_RTOL = 1e-10
 EXACT_FIT_RTOL = 1e-13
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
-# Rows per batched QR in prefix_residuals. For k 4-5 on about 300 rows
-# (one BLAS thread, x86-64 Xeon), blocks of 16 to 48 rows timed within 7%
-# of each other and 64 rows 30% slower. Row i of the mask keeps a block's
-# first i rows.
-_PREFIX_BLOCK = 48
-_PREFIX_MASK = np.tri(_PREFIX_BLOCK + 1, _PREFIX_BLOCK, -1)[:, :, None]
+# Rows per block in prefix_residuals. A block costs two LAPACK
+# factorizations plus a fixed Python overhead, and its RQ grows as the
+# cube of its rows. On 40 levels designs of 299 x 4 (one BLAS thread,
+# x86-64 Xeon; median of 15 interleaved rounds) a call took 0.58 ms
+# with 16-row blocks, 0.49 ms with 24, 0.48 ms with 32, 0.54 ms with 48
+# and 0.60 ms with 64.
+_PREFIX_BLOCK = 32
 
 CONST_NAME = "C"
 TREND_NAME = "TREND"
@@ -351,7 +354,7 @@ def _lwork(routine: str, m: int, n: int) -> int:
     """The lwork that LAPACK's workspace query (lwork=-1) returns for
     ``routine`` on an m x n matrix, the size scipy's ``qr`` passes."""
     a = np.zeros((m, n), order="F")
-    args = (a, np.zeros(min(m, n))) if routine == "dorgqr" else (a,)
+    args = (a, np.zeros(min(m, n))) if routine.startswith("dorg") else (a,)
     return int(getattr(lapack, routine)(*args, lwork=-1)[-2][0])
 
 
@@ -385,7 +388,9 @@ def _householder(a, pivoting: bool = False):
 
 def _q_factor(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The m x n orthonormal Q of a raw factor from ``_householder``
-    (m >= n), by LAPACK orgqr: the economic Q of scipy's ``qr``."""
+    (m >= n), by LAPACK orgqr: the economic Q of scipy's ``qr``. Only
+    the first len(tau) columns of qr are read, so a factor widened with
+    columns gives as many more columns of the full Q."""
     m, n = qr.shape
     q, _, info = lapack.dorgqr(qr, tau, _lwork("dorgqr", m, n))
     _lapack_info(info, "orgqr")
@@ -435,13 +440,25 @@ def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
     predicting y_t from the fit on rows 0..t-1, scaled by
     sqrt(1 + x_t'(X'X)^{-1}_{t-1} x_t) (Brown, Durbin & Evans 1975).
 
-    Every step is a QR (Bjorck, Numerical Methods for Least Squares
-    Problems, 3.2). As in ``ols``, X is checked for finiteness, then the
-    first k rows get its rank check, then y is checked; the triangle
-    [R z] of their [X y] then grows by blocks of _PREFIX_BLOCK rows, one
-    batched QR per block giving each prefix triangle in it. With
-    u = R_{t-1}^{-T} x_t, w_t = (y_t - u'z_{t-1}) / sqrt(1 + u'u), and the
-    squared w add up to the RSS of the full fit.
+    They are w = C'y for the staircase basis C of the orthogonal
+    complement of X: the one orthonormal basis whose column t lies on
+    rows 0..t with a positive weight on row t. As in ``ols``, X is
+    checked for finiteness, then the first k rows get its rank check,
+    then y is checked. Their triangle of [X y] then takes in
+    _PREFIX_BLOCK rows at a time, by two orthogonal factorizations per
+    block and none per row:
+
+    - the carried triangle T = [R z; 0 rho] is stacked over the block's
+      m rows [X_B y_B], and one QR of its X part, with the full Q,
+      gives the effects e = Q'[T_y; y_B];
+    - the block rows of Q's null columns have the RQ factorization
+      Q[r:, k:] = [0 | U] Q_rq, so the block's residuals are
+      sign(diag U) (Q_rq e[k:]) over Q_rq's last m rows;
+    - the next triangle is [R, e[:k]; 0, ||e[k:]||].
+
+    Every factorization is a LAPACK Householder routine (geqrf and
+    orgqr, gerqf and orgrq), and the squared w add up to the RSS of the
+    full fit.
 
     Raises
     ------
@@ -466,19 +483,24 @@ def prefix_residuals(y, X: DesignMatrix) -> np.ndarray:
     T = _triu(_householder(A[:k])[0])
     w = np.empty(n - k)
     for s in range(k, n, _PREFIX_BLOCK):
-        B = A[s:s + _PREFIX_BLOCK]
-        m, r = B.shape[0], T.shape[0]
-        # stack j holds [R z] and the block's first j rows
-        S = np.zeros((m + 1, r + m, k + 1))
-        S[:, :r] = T
-        S[:, r:] = _PREFIX_MASK[:m + 1, :m] * B
-        Rs = np.linalg.qr(S, mode="r")
-        u = np.linalg.solve(np.swapaxes(Rs[:m, :k, :k], 1, 2),
-                            B[:, :k, None])[..., 0]
-        z = Rs[:m, :k, k]
-        w[s - k:s - k + m] = ((B[:, k] - np.einsum("ti,ti->t", u, z))
-                              / np.sqrt(1.0 + np.einsum("ti,ti->t", u, u)))
-        T = Rs[m]
+        S = np.vstack([T, A[s:s + _PREFIX_BLOCK]])
+        r, m = T.shape[0], S.shape[0] - T.shape[0]
+        qr, tau, _ = _householder(S[:, :k])
+        full = np.empty((r + m, r + m), order="F")
+        full[:, :k] = qr
+        Q = _q_factor(full, tau)
+        e = Q.T @ S[:, k]
+        N = Q[r:, k:]
+        rq, tau, _, info = lapack.dgerqf(N, _lwork("dgerqf", *N.shape))
+        _lapack_info(info, "gerqf")
+        sign = np.sign(rq.diagonal(r - k))
+        q_rq, _, info = lapack.dorgrq(rq, tau, _lwork("dorgrq", *N.shape))
+        _lapack_info(info, "orgrq")
+        w[s - k:s - k + m] = sign * (q_rq @ e[k:])
+        T = np.zeros((k + 1, k + 1))
+        T[:k, :k] = _triu(qr[:k])
+        T[:k, k] = e[:k]
+        T[k, k] = math.sqrt(float(e[k:] @ e[k:]))
     return w
 
 
@@ -706,6 +728,14 @@ def newey_west_lrv(residuals, bandwidth: int) -> float:
     gamma_j the j-th sample autocovariance of the demeaned series
     (divisor n). Nonnegative by construction of the kernel.
     """
+    return _short_and_long_run_variance(residuals, bandwidth)[1]
+
+
+def _short_and_long_run_variance(residuals,
+                                 bandwidth: int) -> tuple[float, float]:
+    """(gamma_0, lambda^2) of ``newey_west_lrv`` from one pass over the
+    residuals: gamma_0 = d'd/n, the kernel's first term, is what
+    ``newey_west_lrv`` returns at bandwidth 0."""
     e = np.asarray(residuals, dtype=np.float64)
     if e.size == 0:
         raise SampleTooShort("empty residual vector")
@@ -717,11 +747,11 @@ def newey_west_lrv(residuals, bandwidth: int) -> float:
         )
     d = e - e.mean()
     n = e.size
-    lrv = float(d @ d) / n
+    gamma0 = lrv = float(d @ d) / n
     for j in range(1, bandwidth + 1):
         gamma_j = float(d[j:] @ d[:-j]) / n
         lrv += 2.0 * (1.0 - j / (bandwidth + 1.0)) * gamma_j
-    return max(lrv, 0.0)
+    return gamma0, max(lrv, 0.0)
 
 
 def durbin_watson(residuals) -> float:

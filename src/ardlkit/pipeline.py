@@ -84,6 +84,12 @@ class ModelSpec:
         if self.bounds_case.upper() not in ("II", "III"):
             raise ConfigError(f"model {self.name!r}: bounds_case must be "
                               "II or III")
+        for key, floor in (("max_p", 1), ("max_q", 0)):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < floor):
+                raise ConfigError(f"model {self.name!r}: {key} must be a "
+                                  f"whole number >= {floor}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,8 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     for mpayload in _as_tuple(payload.get("models"), "models"):
         if not isinstance(mpayload, dict):
             raise ConfigError("each model must be a mapping")
-        name = mpayload.get("name", f"model{len(models) + 1}")
+        name = _name(mpayload.get("name", f"model{len(models) + 1}"),
+                     "model name")
         try:
             models.append(ModelSpec(
                 name=name,

@@ -32,10 +32,10 @@ from .linreg import (
     TREND_NAME,
     DesignMatrix,
     _effects_triangle,
+    _short_and_long_run_variance,
     _solve_upper,
     default_bandwidth,
     nested_criteria,
-    newey_west_lrv,
     # not called here; perfbench/test_perfbench.py::
     # test_tracer_wraps_every_namespace_and_restores_it wraps it here
     ols,
@@ -317,8 +317,7 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
                                            residuals=True)
     if bandwidth is None:
         bandwidth = default_bandwidth(m)
-    gamma0 = newey_west_lrv(resid, 0)
-    lam2 = newey_west_lrv(resid, bandwidth)
+    gamma0, lam2 = _short_and_long_run_variance(resid, bandwidth)
     statistic = (math.sqrt(gamma0 / lam2) * t_stat
                  - (lam2 - gamma0) * m * se / (2.0 * math.sqrt(lam2) * s_reg))
     return _result("PP", spec, bandwidth, statistic, "fixed", m)

@@ -201,6 +201,21 @@ class TestIndexChecks:
         with pytest.raises(ValueError, match="^series 'Y': start must be"):
             TimeSeries("Y", freq, start, np.zeros(2))
 
+    @pytest.mark.parametrize("freq", list(Frequency), ids=lambda f: f.value)
+    def test_frequency_text_reads_as_its_frequency(self, freq):
+        s = TimeSeries("Y", freq.value, (2000, 1), np.zeros(2))
+        assert s.frequency is freq
+        assert s.index == TimeSeries("Y", freq, (2000, 1), np.zeros(2)).index
+        assert format_period((2000, 1), freq.value) == format_period(
+            (2000, 1), freq)
+
+    @pytest.mark.parametrize("freq", ["weekly", "Monthly", None, 12])
+    def test_frequency_must_be_a_frequency(self, freq):
+        with pytest.raises(ValueError, match="^series 'Y': frequency must"):
+            TimeSeries("Y", freq, (2000, 1), np.zeros(2))
+        with pytest.raises(ValueError):
+            format_period((2000, 1), freq)
+
     def test_start_is_normalized_to_ints(self):
         s = TimeSeries("Y", Frequency.QUARTERLY, np.array([2000, 4]),
                        np.zeros(3))

@@ -180,8 +180,13 @@ class TestBreuschPagan:
 def oracle_recursive_residuals(y, X):
     """Recursive residuals by an independent fit of every prefix: the
     coefficients of rows 0..t-1 by lstsq, the variance factor
-    x_t'(X'X)^{-1}x_t as |R^{-T} x_t|^2 from that prefix's own QR."""
+    x_t'(X'X)^{-1}x_t as |R^{-T} x_t|^2 from that prefix's own QR.
+
+    The residuals do not depend on the columns' scales, but lstsq's
+    accuracy does (its SVD is backward stable relative to the largest
+    column only), so X's columns are first brought to unit norm."""
     n, k = X.shape
+    X = X / np.sqrt(np.einsum("ij,ij->j", X, X))
     w = np.empty(n - k)
     for t in range(k, n):
         beta = np.linalg.lstsq(X[:t], y[:t], rcond=None)[0]
@@ -191,19 +196,34 @@ def oracle_recursive_residuals(y, X):
     return w
 
 
-def recursive_design(kind, k, n, seed):
+def recursive_design(kind, k, n, seed, scales=1.0):
     """k columns: a constant, a constant and a trend, or none of them,
-    filled up with random walks and white noise."""
+    filled up with random walks and white noise. y is drawn on those
+    columns, and then each column is multiplied by its entry of
+    ``scales``, which changes neither the fit nor the residuals."""
     rng = np.random.default_rng(seed)
     det = {"C": [np.ones(n)],
            "C+TREND": [np.ones(n), np.arange(1.0, n + 1)],
            "none": []}[kind]
     free = [rng.standard_normal(n).cumsum() if j % 2 else
             rng.standard_normal(n) for j in range(k - len(det))]
-    cols = det + free
-    X = DesignMatrix(tuple(f"X{j}" for j in range(k)), np.column_stack(cols))
-    y = X.matrix @ rng.standard_normal(k) + rng.standard_normal(n)
-    return y, X
+    cols = np.column_stack(det + free)
+    y = cols @ rng.standard_normal(k) + rng.standard_normal(n)
+    return y, DesignMatrix(tuple(f"X{j}" for j in range(k)), cols * scales)
+
+
+def assert_matches_every_prefix(y, X):
+    """The recursive residuals of y on X are the oracle's to 1e-10 of
+    their largest, with its signs, and their squares add up to the RSS
+    of the full fit to 1e-12."""
+    w = recursive_residuals(y, X)
+    ref = oracle_recursive_residuals(y, X.matrix)
+    scale = np.max(np.abs(ref))
+    assert w.shape == (X.n - X.k,)
+    assert np.max(np.abs(w - ref)) <= 1e-10 * scale
+    clear = np.abs(ref) > 1e-10 * scale
+    assert np.array_equal(np.sign(w[clear]), np.sign(ref[clear]))
+    assert float(w @ w) == pytest.approx(ols(y, X).rss, rel=1e-12)
 
 
 def prefix_fails_rank_check(X):
@@ -233,17 +253,20 @@ class TestRecursiveResiduals:
         (kind, k) for kind in ("C", "C+TREND", "none") for k in range(1, 7)
         if kind != "C+TREND" or k >= 2])
     def test_matches_a_fit_of_every_prefix(self, kind, k, m):
-        # m = n - k residuals; the block edges are where prefixes pass
-        # from one batched QR to the next
-        y, X = recursive_design(kind, k, k + m, seed=100 * k + m)
-        w = recursive_residuals(y, X)
-        ref = oracle_recursive_residuals(y, X.matrix)
-        scale = np.max(np.abs(ref))
-        assert w.shape == (m,)
-        assert np.max(np.abs(w - ref)) <= 1e-10 * scale
-        clear = np.abs(ref) > 1e-10 * scale
-        assert np.array_equal(np.sign(w[clear]), np.sign(ref[clear]))
-        assert float(w @ w) == pytest.approx(ols(y, X).rss, rel=1e-12)
+        # m = n - k residuals; the block edges are where the carried
+        # triangle passes from one block of rows to the next
+        assert_matches_every_prefix(*recursive_design(kind, k, k + m,
+                                                      seed=100 * k + m))
+
+    @pytest.mark.parametrize("kind, k, m", [
+        ("C", 7, BLOCK - 1), ("C+TREND", 8, BLOCK + 1), ("none", 9, 2 * BLOCK),
+        ("C", 9, 5 * BLOCK + 3)])
+    def test_matches_a_fit_of_every_prefix_at_column_scales(self, kind, k,
+                                                            m):
+        # the columns' scales run from 1e-4 to 1e4 across the design
+        y, X = recursive_design(kind, k, k + m, seed=100 * k + m,
+                                scales=np.logspace(-4.0, 4.0, k))
+        assert_matches_every_prefix(y, X)
 
     @pytest.mark.parametrize("cond", [1e7, 6.2e7, 1e8, 1e9])
     @pytest.mark.parametrize("k", [2, 3, 5])

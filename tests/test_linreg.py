@@ -31,6 +31,7 @@ from ardlkit.linreg import (
     _householder,
     _lwork,
     _q_factor,
+    _short_and_long_run_variance,
     _solve_upper,
     _tail_criteria,
 )
@@ -484,6 +485,16 @@ class TestNeweyWest:
     def test_bandwidth_too_large(self):
         with pytest.raises(BandwidthTooLarge):
             newey_west_lrv([1.0, 2.0], 2)
+
+    @pytest.mark.parametrize("bandwidth", [0, 1, 4, 29])
+    def test_one_pass_gives_both_variances_bit_for_bit(self, rng,
+                                                       bandwidth):
+        # Phillips-Perron reads gamma_0 and lambda^2 from one pass;
+        # gamma_0 is the kernel's first term d'd/n
+        e = rng.normal(size=30).cumsum()
+        d = e - e.mean()
+        assert _short_and_long_run_variance(e, bandwidth) == (
+            float(d @ d) / 30, newey_west_lrv(e, bandwidth))
 
     def test_nonnegative(self, rng):
         for _ in range(10):

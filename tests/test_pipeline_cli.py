@@ -690,6 +690,14 @@ def _alpha_without_input(payload, tmp_path):
     payload["input"]["path"] = str(tmp_path / "absent.csv")
 
 
+def _model_without_input(key, value):
+    # as alpha: a model key is refused before the input is read
+    def edit(payload, tmp_path):
+        payload["models"][0][key] = value
+        payload["input"]["path"] = str(tmp_path / "absent.csv")
+    return edit
+
+
 @pytest.mark.parametrize("edit, code, names", [
     (_inf_cell, 3, "column 'Y'"),
     (_setting("unit_root", "max_lag", -1), 2, "unit_root.max_lag"),
@@ -716,6 +724,10 @@ def _alpha_without_input(payload, tmp_path):
     (_setting("input", "date_format", {}), 2, "input.date_format"),
     (_model("dependent", ["Y"]), 2, "dependent"),
     (_alpha_without_input, 2, "error: alpha must be one of"),
+    (_model_without_input("name", [1]), 2, "model name must be a name"),
+    (_model_without_input("max_p", 0), 2, "max_p must be a whole number >= 1"),
+    (_model_without_input("max_q", -1), 2,
+     "max_q must be a whole number >= 0"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
         "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
         "levels-text", "unit_root-alpha-text", "max_p-text",
@@ -723,7 +735,9 @@ def _alpha_without_input(payload, tmp_path):
         "diagnostics-enabled-text", "variables-bool", "unit_root-list",
         "diagnostics-text", "output-list", "value_columns-number",
         "input-dependent-list", "date_format-mapping",
-        "model-dependent-list", "alpha-0.2-no-input"])
+        "model-dependent-list", "alpha-0.2-no-input",
+        "model-name-list-no-input", "max_p-0-no-input",
+        "max_q-negative-no-input"])
 def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")
