@@ -54,7 +54,6 @@ from .linreg import (
     default_bandwidth,
     durbin_watson,
     information_criteria,
-    nested_criteria,
     newey_west_lrv,
     ols,
     subset_criteria,

@@ -35,6 +35,9 @@ from .linreg import (
     DesignMatrix,
     RegressionResult,
     TREND_NAME,
+    _choice,
+    _smallest,
+    _whole_number,
     ols,
     subset_criteria,
     wald_f_test,
@@ -54,14 +57,13 @@ class ArdlSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
-        if self.p < 1:
-            raise InvalidParameters(f"p must be >= 1, got {self.p}")
+        _whole_number("p", self.p, 1, InvalidParameters)
         if self.dependent in self.regressors:
             raise InvalidParameters("dependent variable cannot be a regressor")
         if set(self.q) != set(self.regressors):
             raise InvalidParameters("q must map every regressor to a lag order")
-        if any(v < 0 for v in self.q.values()):
-            raise InvalidParameters("every q must be >= 0")
+        for x, q in self.q.items():
+            _whole_number(f"q[{x!r}]", q, 0, InvalidParameters)
         if self.det is Deterministic.NONE:
             raise InvalidParameters(
                 "ARDL estimation requires a constant (det none unsupported)"
@@ -219,14 +221,15 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
     X blocks, Y(-2..-max_p)] per q vector, which makes every p a leading
     block.
 
-    Raises RankDeficient when the superset fails the rank check of
+    Raises InvalidParameters, before anything else, unless max_p is a
+    whole number >= 1, max_q one >= 0 and criterion AIC or SBC in any
+    case; RankDeficient when the superset fails the rank check of
     ``ols`` and SampleTooShort when its lags exhaust the sample.
     """
-    if max_p < 1 or max_q < 0:
-        raise InvalidParameters("need max_p >= 1 and max_q >= 0")
-    criterion = criterion.upper()
-    if criterion not in ("AIC", "SBC"):
-        raise InvalidParameters(f"unknown criterion {criterion!r}")
+    _whole_number("max_p", max_p, 1, InvalidParameters)
+    _whole_number("max_q", max_q, 0, InvalidParameters)
+    criterion = _choice("criterion", criterion, ("AIC", "SBC"),
+                        InvalidParameters)
     dependent = dependent or d.dependent
     regressors = tuple(regressors) if regressors is not None else d.regressors
 
@@ -249,16 +252,10 @@ def select_lags(d: Dataset, max_p: int, max_q: int,
     scores = subset_criteria(dy, design, orderings)
 
     which = 0 if criterion == "AIC" else 1
-    best = None
-    for p in range(1, max_p + 1):
-        for qs, ordering, crits in zip(grid, orderings, scores):
-            crit = crits[len(ordering) - max_p + p][which]
-            key = (p + sum(qs), p, qs)
-            if best is None or crit < best[0] - 1e-9 or (
-                abs(crit - best[0]) <= 1e-9 and key < best[1]
-            ):
-                best = (crit, key)
-    _, (_, p, qs) = best
+    _, p, qs = _smallest(
+        ((crits[len(ordering) - max_p + p][which], (p + sum(qs), p, qs))
+         for p in range(1, max_p + 1)
+         for qs, ordering, crits in zip(grid, orderings, scores)), 1e-9)
     return ArdlSpec(dependent, regressors, p, dict(zip(regressors, qs)), det)
 
 
@@ -305,11 +302,8 @@ def bounds_test(m: ArdlModel, case: str = "III",
     with the tabulated (I0, I1) band at ``alpha``: above the band is
     cointegrated, below is not, inside is inconclusive.
     """
-    case = case.upper()
-    if case not in ("II", "III"):
-        raise InvalidParameters(
-            f"bounds-test case must be II or III, got {case!r}"
-        )
+    case = _choice("bounds-test case", case, ("II", "III"),
+                   InvalidParameters)
     if m.spec.det is Deterministic.CONSTANT_TREND:
         raise InvalidParameters(
             "bounds cases II/III assume no trend term; "

@@ -37,6 +37,7 @@ from .linreg import (
     DesignMatrix,
     RegressionResult,
     TestStatistic,
+    _whole_number,
     appended_effects,
     auxiliary_r_squared,
     decisions_from_pvalue,
@@ -98,10 +99,9 @@ def breusch_godfrey(rr: RegressionResult, lags: int = 1) -> TestStatistic:
     plus their own lags (zero-padded before the sample), and LM = n R^2
     is referred to chi2(lags). Its RSS comes from the fit's own QR with
     the lag block appended (``linreg.auxiliary_r_squared``); nothing is
-    refit.
+    refit. A lags that is not a whole number >= 1 is a ValueError.
     """
-    if lags < 1:
-        raise ValueError("lags must be >= 1")
+    _whole_number("lags", lags, 1)
     e = rr.residuals
     n = e.shape[0]
     if n <= rr.k + lags + 1:

@@ -13,13 +13,14 @@ call LAPACK trtrs, and the recursive residuals add one RQ (gerqf, and
 orgrq for its Q). Every factorization runs on the LAPACK that scipy
 links; numpy only multiplies matrices.
 
-A lag search needs no fit per candidate. ``nested_criteria`` scores
-every leading column block of the largest design from one QR (the
-sequential sums of squares of R's ``anova.lm``), and ``subset_criteria``
-scores the leading blocks of several column orderings of one superset
-design from that same QR, refactoring only the small triangle. Both
-read each RSS as a tail sum of an effects vector and score it by the
-same AIC/SBC formulas as ``ols`` results. Recursive residuals
+A lag search needs no fit per candidate. One QR of the largest design
+with the dependent gives the effects vector, whose tail sums are the
+RSS of every leading column block (the sequential sums of squares of
+R's ``anova.lm``); ``subset_criteria`` scores the leading blocks of
+several column orderings of one superset design from that QR,
+refactoring only the small triangle. Each RSS is scored by the same
+AIC/SBC formulas as ``ols`` results, and ``_smallest`` is the one rule
+that picks the best-scored candidate, ties included. Recursive residuals
 (``prefix_residuals``) are the projections of y on the staircase basis
 of X's orthogonal complement, a block of rows at a time from one QR and
 one RQ.
@@ -37,6 +38,7 @@ it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -71,6 +73,30 @@ _PREFIX_BLOCK = 32
 
 CONST_NAME = "C"
 TREND_NAME = "TREND"
+
+
+# The rules below check a setting for the config and the library alike,
+# each raising the error type its caller documents.
+def _whole_number(key: str, value, floor: int = 0, error=ValueError,
+                  optional: bool = False) -> None:
+    """Raise ``error`` unless value is an integer (a numpy integer is
+    one; a bool, a float such as 2.0 and text are not) at least
+    ``floor``, or None where the setting is ``optional``."""
+    if value is None and optional:
+        return
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < floor):
+        raise error(f"{key} must be a whole number >= {floor}, "
+                    f"got {value!r}")
+
+
+def _choice(key: str, value, options, error=ValueError) -> str:
+    """value upper-cased when it is text and that is one of ``options``;
+    otherwise raise ``error`` naming the key and the options."""
+    if isinstance(value, str) and value.upper() in options:
+        return value.upper()
+    *head, last = options
+    raise error(f"{key} must be {', '.join(head)} or {last}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,44 +569,46 @@ def _tail_criteria(z: np.ndarray, n: int) -> list[tuple[float, float]]:
     return [_criteria(_log_likelihood(r, n), n, j) for j, r in enumerate(rss)]
 
 
-def nested_criteria(y, X: DesignMatrix) -> list[tuple[float, float]]:
-    """(AIC, SBC) of y on each leading block X[:, :k], k = 0..X.k.
+def subset_criteria(y, X: DesignMatrix,
+                    orderings) -> list[list[tuple[float, float]]]:
+    """(AIC, SBC) of y on each leading block of X[:, S], for each column
+    ordering S in ``orderings`` (a sequence of column-index sequences).
 
-    One Householder QR of [X | y] gives the effects vector z (its last
-    column of R); the RSS of the first k columns is sum_{i >= k} z_i^2.
-    Every block is scored on X's sample by the formulas of
-    information_criteria, so a search over the blocks chooses what a
-    fit per block would.
+    One Householder QR of [X | y] gives the triangle [R | z]; each
+    ordering then refactors only its columns of that small triangle,
+    [R_S | z], whose effects vector gives the RSS of its first j columns
+    as the sum of its squared entries from j on. Every block is scored
+    on X's sample by the formulas of information_criteria, so a search
+    over column subsets of one superset design chooses what a fit per
+    subset would, and fits nothing.
 
     Raises
     ------
     DimensionMismatch
         y does not match the design's row count.
     RankDeficient
-        X fails the rank check of ``ols``; its leading blocks are then
-        not all estimable.
+        X fails the rank check of ``ols``, even when no ordering uses
+        the collinear columns; its blocks are then not all estimable.
     ValueError
         X or y holds a NaN or an infinity.
-    """
-    return _tail_criteria(_effects_triangle(y, X)[:, -1], X.n)
-
-
-def subset_criteria(y, X: DesignMatrix,
-                    orderings) -> list[list[tuple[float, float]]]:
-    """(AIC, SBC) of y on each leading block of X[:, S], for each column
-    ordering S in ``orderings`` (a sequence of column-index sequences).
-
-    X is factored once, as in ``nested_criteria``; each ordering then
-    refactors only its columns of the small triangle [R_S | z], whose
-    effects vector gives that ordering's tail sums. So a search over
-    column subsets of one superset design fits nothing per subset.
-
-    Raises as ``nested_criteria``.
     """
     R = _effects_triangle(y, X)
     return [_tail_criteria(
         _householder(R[:, [*S, X.k]])[0][:len(S) + 1, -1], X.n)
         for S in orderings]
+
+
+def _smallest(candidates, tol: float):
+    """The key of the best of the (criterion, key) pairs, taken in
+    order: a pair replaces the best so far when its criterion is lower
+    by more than ``tol``, or within ``tol`` of it with a smaller key."""
+    best = None
+    for crit, key in candidates:
+        if best is None or crit < best[0] - tol or (
+            abs(crit - best[0]) <= tol and key < best[1]
+        ):
+            best = (crit, key)
+    return best[1]
 
 
 def wald_f_test(rr: RegressionResult, restricted_names,
@@ -594,10 +622,10 @@ def wald_f_test(rr: RegressionResult, restricted_names,
 
     Nothing is refit. With X = Q R from the fit's own factor and z = Q'y,
     the restricted model's excess RSS is that of z on Z, R's columns of
-    the r remaining coefficients: the last diagonal of one QR of the
-    k x (r+1) matrix [Z | z], squared. Z has the column norms and
-    singular values of X's remaining columns, so its pivoted QR gets the
-    rank check of ``ols`` in place of the restricted fit's. With every
+    the r remaining coefficients: the last diagonal of the triangle of
+    the k x (r+1) matrix [Z | z] (``_effects_triangle``), squared. Z has
+    the column norms and singular values of X's remaining columns, so
+    its rank check stands in for the restricted fit's. With every
     coefficient restricted, RSS_r = y'y.
 
     Raises
@@ -625,14 +653,13 @@ def wald_f_test(rr: RegressionResult, restricted_names,
     names = rr.design.names
     remaining = [j for j, nm in enumerate(names) if nm not in set(restricted)]
     if remaining:
-        Z = rr.r_factor[:, np.argsort(rr.pivots)[remaining]]
-        qr, _, piv = _householder(Z, pivoting=True)
+        Z = DesignMatrix([names[j] for j in remaining],
+                         rr.r_factor[:, np.argsort(rr.pivots)[remaining]])
         try:
-            _check_rank(qr, piv, [names[j] for j in remaining])
+            T = _effects_triangle(rr.q_factor.T @ rr.y, Z)
         except RankDeficient as exc:
             raise DegenerateRestriction(str(exc)) from exc
-        T = _householder(np.column_stack([Z, rr.q_factor.T @ rr.y]))[0]
-        excess = float(T[len(remaining), len(remaining)]) ** 2
+        excess = float(T[Z.k, Z.k]) ** 2
     else:
         excess = max(float(rr.y @ rr.y) - rss_u, 0.0)
 

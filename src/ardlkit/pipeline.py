@@ -30,7 +30,7 @@ from .ardl import (
 from .dataio import Dataset, IngestionConfig, TimeSeries
 from .diagnostics import BATTERY, DiagnosticsReport, run_battery
 from .errors import ConfigError, I2VariablePresent
-from .linreg import DEFAULT_LEVELS
+from .linreg import DEFAULT_LEVELS, _choice, _whole_number
 from .unitroot import (
     Deterministic,
     IntegrationOrder,
@@ -78,18 +78,13 @@ class ModelSpec:
             raise ConfigError(
                 f"model {self.name!r}: dependent cannot be a regressor"
             )
-        if self.criterion.upper() not in ("AIC", "SBC"):
-            raise ConfigError(f"model {self.name!r}: criterion must be "
-                              "AIC or SBC")
-        if self.bounds_case.upper() not in ("II", "III"):
-            raise ConfigError(f"model {self.name!r}: bounds_case must be "
-                              "II or III")
+        _choice(f"model {self.name!r}: criterion", self.criterion,
+                ("AIC", "SBC"), ConfigError)
+        _choice(f"model {self.name!r}: bounds_case", self.bounds_case,
+                ("II", "III"), ConfigError)
         for key, floor in (("max_p", 1), ("max_q", 0)):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < floor):
-                raise ConfigError(f"model {self.name!r}: {key} must be a "
-                                  f"whole number >= {floor}, got {value!r}")
+            _whole_number(f"model {self.name!r}: {key}", getattr(self, key),
+                          floor, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -104,10 +99,7 @@ class DiagnosticsStage:
     stability: bool = True
 
     def __post_init__(self):
-        if (isinstance(self.bg_lags, bool) or not isinstance(self.bg_lags, int)
-                or self.bg_lags < 1):
-            raise ConfigError(f"diagnostics.bg_lags must be a whole number "
-                              f">= 1, got {self.bg_lags!r}")
+        _whole_number("diagnostics.bg_lags", self.bg_lags, 1, ConfigError)
         if not self.reset_powers or not all(p in (2, 3, 4)
                                             for p in self.reset_powers):
             raise ConfigError("diagnostics.reset_powers must be a nonempty "
@@ -185,19 +177,15 @@ def _name(value, key: str) -> str:
     raise ConfigError(f"{key} must be a name, got {value!r}")
 
 
-def _converted(value, key: str, kind: type = float):
-    """value as a float, or as an int when it is a whole number; any
-    other value, a bool included, is a ConfigError naming the key."""
-    what = "a number" if kind is float else "a whole number"
+def _converted(value, key: str) -> float:
+    """value as a float; any other value, a bool included, is a
+    ConfigError naming the key."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        out = kind(value)
-        if kind is int and out != float(value):   # int(2.7) is 2
-            raise ValueError
+        return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
-    return out
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def _flag(value, key: str) -> bool:
@@ -247,11 +235,13 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
     variables = []
     for name, vspec in _mapping(payload.get("variables"),
                                 "variables").items():
+        name = _name(name, "variable name")
         if isinstance(vspec, str):
             variables.append(VariableSpec(name, vspec))
         elif isinstance(vspec, dict):
             variables.append(VariableSpec(
-                name, vspec.get("source", name),
+                name, _name(vspec.get("source", name),
+                            f"variable {name!r}: source"),
                 _as_tuple(vspec.get("transforms"),
                           f"variable {name!r}: transforms"),
             ))
@@ -274,12 +264,10 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
                     _name(r, f"model {name!r}: regressors")
                     for r in _as_tuple(mpayload.get("regressors"),
                                        "regressors")),
-                max_p=_converted(mpayload.get("max_p", 2),
-                                 f"model {name!r}: max_p", int),
-                max_q=_converted(mpayload.get("max_q", 2),
-                                 f"model {name!r}: max_q", int),
-                criterion=str(mpayload.get("criterion", "SBC")),
-                bounds_case=str(mpayload.get("bounds_case", "III")),
+                max_p=mpayload.get("max_p", 2),
+                max_q=mpayload.get("max_q", 2),
+                criterion=mpayload.get("criterion", "SBC"),
+                bounds_case=mpayload.get("bounds_case", "III"),
             ))
         except KeyError as exc:
             raise ConfigError(f"model missing required key {exc}") from None
@@ -305,7 +293,7 @@ def parse_config(payload: dict, base_dir: Path | None = None) -> PipelineConfig:
         spec=ur_spec,
         alpha=_converted(ur.get("alpha", 0.05), "unit_root.alpha"),
         max_lag=ur.get("max_lag"),
-        rule=str(ur.get("rule", "AIC")),
+        rule=ur.get("rule", "AIC"),
         bandwidth=ur.get("bandwidth"),
     )
 

@@ -15,7 +15,6 @@ below the critical value rejects it (left-tail test).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -31,11 +30,14 @@ from .linreg import (
     EXACT_FIT_RTOL,
     TREND_NAME,
     DesignMatrix,
+    _choice,
     _effects_triangle,
     _short_and_long_run_variance,
+    _smallest,
     _solve_upper,
+    _tail_criteria,
+    _whole_number,
     default_bandwidth,
-    nested_criteria,
     # not called here; perfbench/test_perfbench.py::
     # test_tracer_wraps_every_namespace_and_restores_it wraps it here
     ols,
@@ -128,6 +130,10 @@ class IntegrationOrder:
         return cls(series_name, order, (level, diff), alpha)
 
 
+# the ADF lag rules, for UnitRootConfig and adf_test alike
+_RULES = ("AIC", "SBC", "FIXED")
+
+
 @dataclass(frozen=True)
 class UnitRootConfig:
     """How classify_integration should test a series."""
@@ -140,18 +146,13 @@ class UnitRootConfig:
     bandwidth: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.test, str) or self.test.upper() not in (
-                "ADF", "PP"):
-            raise ConfigError(f"unit_root.test must be ADF or PP, "
-                              f"got {self.test!r}")
+        _choice("unit_root.test", self.test, ("ADF", "PP"), ConfigError)
         if self.alpha not in DEFAULT_LEVELS:
             raise ConfigError("unit_root.alpha must be one of 1%, 5%, 10%")
-        if not isinstance(self.rule, str) or self.rule.upper() not in (
-                "AIC", "SBC", "FIXED"):
-            raise ConfigError(f"unit_root.rule must be AIC, SBC or fixed, "
-                              f"got {self.rule!r}")
+        _choice("unit_root.rule", self.rule, _RULES, ConfigError)
         for key in ("max_lag", "bandwidth"):
-            _whole_number(f"unit_root.{key}", getattr(self, key), ConfigError)
+            _whole_number(f"unit_root.{key}", getattr(self, key),
+                          error=ConfigError, optional=True)
 
 
 def default_max_lag(n: int) -> int:
@@ -211,29 +212,19 @@ def _result(test: str, spec: Deterministic, lag_or_bandwidth: int,
                           _verdicts(statistic, cvs), rule, nobs)
 
 
-def _whole_number(key: str, value, error=ValueError) -> None:
-    """Raise ``error`` unless value is None or a whole number >= 0."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, numbers.Integral)
-                              or value < 0):
-        raise error(f"{key} must be a whole number >= 0, got {value!r}")
-
-
 def _select_lag(y: np.ndarray, dy: np.ndarray, spec: Deterministic,
                 max_lag: int, rule: str) -> int:
     """The augmentation order in 0..max_lag that minimises the rule's
-    criterion on the common max-lag sample; ties go to the smaller
-    order. Every order is scored from one factorization of the max-lag
-    design (linreg.nested_criteria)."""
+    criterion on the common max-lag sample; ties within 1e-12 go to the
+    smaller order. Every order's design is a leading block of the
+    max-lag design, so one factorization scores them all: the RSS of
+    each is a tail sum of its effects vector."""
     dep, design = _dickey_fuller_design(y, dy, spec, max_lag)
     order0 = design.k - max_lag   # columns of the order-0 design
-    crits = [aic if rule == "AIC" else sbc
-             for aic, sbc in nested_criteria(dep, design)[order0:]]
-    best = 0
-    for k, crit in enumerate(crits):
-        if crit < crits[best] - 1e-12:
-            best = k
-    return best
+    which = 0 if rule == "AIC" else 1
+    crits = _tail_criteria(_effects_triangle(dep, design)[:, -1], design.n)
+    return _smallest(((c[which], k) for k, c in enumerate(crits[order0:])),
+                     1e-12)
 
 
 def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
@@ -269,12 +260,10 @@ def adf_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     PerfectFitDegenerate
         The chosen order's regression fits exactly.
     """
-    _whole_number("max_lag", max_lag)
+    _whole_number("max_lag", max_lag, optional=True)
     spec = Deterministic(spec)
-    if not isinstance(rule, str) or rule.upper() not in ("AIC", "SBC",
-                                                         "FIXED"):
-        raise ValueError(f"unknown selection rule {rule!r}")
-    rule = "fixed" if rule.upper() == "FIXED" else rule.upper()
+    rule = _choice("rule", rule, _RULES)
+    rule = "fixed" if rule == "FIXED" else rule
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
     if max_lag is None:
@@ -307,7 +296,7 @@ def pp_test(s: TimeSeries, spec: Deterministic = Deterministic.CONSTANT,
     Deterministic value, raises ValueError before anything else; an
     exact fit raises PerfectFitDegenerate.
     """
-    _whole_number("bandwidth", bandwidth)
+    _whole_number("bandwidth", bandwidth, optional=True)
     spec = Deterministic(spec)
     n = len(s.values)
     if n < 15:

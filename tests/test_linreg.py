@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from ardlkit import (
     default_bandwidth,
     durbin_watson,
     information_criteria,
-    nested_criteria,
     newey_west_lrv,
     ols,
     subset_criteria,
@@ -32,6 +32,7 @@ from ardlkit.linreg import (
     _lwork,
     _q_factor,
     _short_and_long_run_variance,
+    _smallest,
     _solve_upper,
     _tail_criteria,
 )
@@ -230,13 +231,19 @@ class TestInformationCriteria:
         assert small < large
 
 
+def _nested_criteria(y, X):
+    """(AIC, SBC) of y on each leading block X[:, :k], k = 0..X.k: the
+    identity ordering of subset_criteria."""
+    return subset_criteria(y, X, [range(X.k)])[0]
+
+
 class TestNestedCriteria:
     def test_each_block_scores_as_its_own_fit(self, rng):
         n = 60
         cols = {"C": np.ones(n), "X1": rng.normal(size=n),
                 "X2": rng.normal(size=n), "X3": rng.normal(size=n)}
         y = 1.0 + cols["X1"] - 0.5 * cols["X3"] + rng.normal(size=n)
-        scores = nested_criteria(y, design(**cols))
+        scores = _nested_criteria(y, design(**cols))
         assert len(scores) == len(cols) + 1
         names = list(cols)
         for k in range(1, len(names) + 1):
@@ -255,11 +262,11 @@ class TestNestedCriteria:
         with pytest.raises(RankDeficient):
             ols(rng.normal(size=20), X)
         with pytest.raises(RankDeficient):
-            nested_criteria(rng.normal(size=20), X)
+            _nested_criteria(rng.normal(size=20), X)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            nested_criteria(np.ones(4), design(C=np.ones(5)))
+            _nested_criteria(np.ones(4), design(C=np.ones(5)))
 
 
 class TestSubsetCriteria:
@@ -282,11 +289,14 @@ class TestSubsetCriteria:
                                                  rel=1e-12)
 
     def test_the_natural_ordering_is_nested_criteria(self, rng):
+        # the nested criteria are the tail sums of one triangle, which
+        # the ADF lag search reads directly
         X = design(C=np.ones(30), X1=rng.normal(size=30),
                    X2=rng.normal(size=30))
         y = rng.normal(size=30)
         (scores,) = subset_criteria(y, X, [[0, 1, 2]])
-        assert scores == pytest.approx(nested_criteria(y, X), rel=1e-12)
+        assert scores == pytest.approx(
+            _tail_criteria(_effects_triangle(y, X)[:, -1], X.n), rel=1e-12)
 
     def test_collinear_superset_raises_as_ols_does(self, rng):
         # the ordering leaves the duplicate out, but the superset is
@@ -297,9 +307,77 @@ class TestSubsetCriteria:
             subset_criteria(rng.normal(size=20), X, [[0, 1]])
 
 
+def _adf_loop(crits):
+    """The ADF lag search's own chooser before ``_smallest``: the first
+    order whose criterion is more than 1e-12 below the best so far."""
+    best = 0
+    for k, crit in enumerate(crits):
+        if crit < crits[best] - 1e-12:
+            best = k
+    return best
+
+
+def _ardl_loop(crits, max_p, grid):
+    """select_lags' own chooser before ``_smallest``, over crits[p][qs]."""
+    best = None
+    for p in range(1, max_p + 1):
+        for qs in grid:
+            crit = crits[p][qs]
+            key = (p + sum(qs), p, qs)
+            if best is None or crit < best[0] - 1e-9 or (
+                abs(crit - best[0]) <= 1e-9 and key < best[1]
+            ):
+                best = (crit, key)
+    return best[1]
+
+
+def _tied_criteria(rng, size, tol):
+    """Criteria drawn from a few levels, each moved by a few multiples of
+    tol around the tie threshold; exact fits score -inf."""
+    levels = rng.choice([0.0, 1.0, -40.0, -math.inf], size=size,
+                        p=[0.4, 0.3, 0.2, 0.1])
+    steps = rng.choice([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,
+                        2.0, 3.0], size=size)
+    return (levels + tol * steps).tolist()
+
+
+class TestSmallest:
+    """The one chooser against the two loops it replaced."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_adf_choice_is_the_old_loops(self, seed):
+        rng = np.random.default_rng([25, seed])
+        for _ in range(50):
+            size = int(rng.integers(1, 14))
+            crits = (_tied_criteria(rng, size, 1e-12) if rng.random() < 0.8
+                     else rng.normal(size=size).tolist())
+            assert _smallest(((c, k) for k, c in enumerate(crits)),
+                             1e-12) == _adf_loop(crits)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ardl_choice_is_the_old_loops(self, seed):
+        rng = np.random.default_rng([26, seed])
+        for _ in range(30):
+            max_p, max_q = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            grid = list(itertools.product(range(max_q + 1),
+                                          repeat=int(rng.integers(1, 3))))
+            crits = {p: dict(zip(grid, _tied_criteria(rng, len(grid), 1e-9)
+                                 if rng.random() < 0.8
+                                 else rng.normal(size=len(grid)).tolist()))
+                     for p in range(1, max_p + 1)}
+            got = _smallest(((crits[p][qs], (p + sum(qs), p, qs))
+                             for p in range(1, max_p + 1) for qs in grid),
+                            1e-9)
+            assert got == _ardl_loop(crits, max_p, grid)
+
+    def test_a_tie_goes_to_the_smaller_key_not_the_earlier_pair(self):
+        assert _smallest([(0.0, 3), (5e-10, 1), (2e-9, 0)], 1e-9) == 1
+        assert _smallest([(0.0, 3), (-2e-9, 4)], 1e-9) == 4
+
+
 _FITS = {
     "ols": ols,
-    "nested_criteria": nested_criteria,
+    "nested_criteria": _nested_criteria,
     "subset_criteria": lambda y, X: subset_criteria(y, X, [[0, 1]]),
 }
 

@@ -22,15 +22,20 @@ import ardlkit.report
 import ardlkit.unitroot
 import ardlkit.cli as cli
 from ardlkit import (
+    ArdlSpec,
     CointegratedPair,
     Deterministic,
     RandomWalk,
+    UnitRootConfig,
+    adf_test,
     bounds_test,
+    breusch_godfrey,
     coefficient_pvalues,
     estimate_ardl,
     generate,
     load_config,
     parse_config,
+    pp_test,
     render_report,
     run_battery,
     run_pipeline,
@@ -39,9 +44,13 @@ from ardlkit import (
 )
 from ardlkit.cli import main
 from ardlkit.diagnostics import BATTERY
-from ardlkit.pipeline import DiagnosticsStage
+from ardlkit.pipeline import DiagnosticsStage, ModelSpec
 from ardlkit.report import render_payload
-from ardlkit.errors import ConfigError, I2VariablePresent
+from ardlkit.errors import (
+    ConfigError,
+    I2VariablePresent,
+    InvalidParameters,
+)
 from ardlkit.simgen import gaussian_stream
 
 DATA = Path(__file__).parent / "data"
@@ -698,6 +707,14 @@ def _model_without_input(key, value):
     return edit
 
 
+def _variables_without_input(variables):
+    # a column name is text, and that is checked before the input is read
+    def edit(payload, tmp_path):
+        payload["variables"] = variables
+        payload["input"]["path"] = str(tmp_path / "absent.csv")
+    return edit
+
+
 @pytest.mark.parametrize("edit, code, names", [
     (_inf_cell, 3, "column 'Y'"),
     (_setting("unit_root", "max_lag", -1), 2, "unit_root.max_lag"),
@@ -728,6 +745,10 @@ def _model_without_input(key, value):
     (_model_without_input("max_p", 0), 2, "max_p must be a whole number >= 1"),
     (_model_without_input("max_q", -1), 2,
      "max_q must be a whole number >= 0"),
+    (_variables_without_input({"Z": {"source": 5}}), 2,
+     "variable 'Z': source must be a name, got 5"),
+    (_variables_without_input({5: {"source": "Y"}}), 2,
+     "variable name must be a name, got 5"),
 ], ids=["csv-inf", "max_lag-negative", "bandwidth-negative",
         "max_lag-fraction", "reset_powers-5", "bg_lags-0", "alpha-text",
         "levels-text", "unit_root-alpha-text", "max_p-text",
@@ -737,7 +758,8 @@ def _model_without_input(key, value):
         "input-dependent-list", "date_format-mapping",
         "model-dependent-list", "alpha-0.2-no-input",
         "model-name-list-no-input", "max_p-0-no-input",
-        "max_q-negative-no-input"])
+        "max_q-negative-no-input", "variable-source-number-no-input",
+        "variable-name-number-no-input"])
 def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
     payload["input"]["path"] = str(DATA / "seed13.csv")
@@ -749,6 +771,156 @@ def test_bad_input_maps_to_its_exit_code(tmp_path, capsys, edit, code, names):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert names in err
+
+
+# Every whole-number setting, with its floor, as the config names it
+_WHOLE_NUMBER_KEYS = [(("models", 0, "max_p"), 1), (("models", 0, "max_q"), 0),
+                      (("diagnostics", "bg_lags"), 1),
+                      (("unit_root", "max_lag"), 0),
+                      (("unit_root", "bandwidth"), 0)]
+# values that are not whole numbers at or above a given floor
+_NOT_WHOLE = {"float-2.0": lambda floor: 2.0, "fraction": lambda floor: 2.5,
+              "bool": lambda floor: True, "text": lambda floor: "2",
+              "below-floor": lambda floor: floor - 1}
+
+
+def _set(payload, path, value):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _seed13_payload(tmp_path):
+    """seed13's config on an input file that does not exist."""
+    payload = yaml.safe_load((DATA / "seed13_config.yaml").read_text())
+    payload["input"]["path"] = str(tmp_path / "absent.csv")
+    return payload
+
+
+@pytest.mark.parametrize("value", _NOT_WHOLE.values(), ids=_NOT_WHOLE)
+@pytest.mark.parametrize("path, floor", _WHOLE_NUMBER_KEYS,
+                         ids=[p[-1] for p, _ in _WHOLE_NUMBER_KEYS])
+def test_config_whole_numbers_are_refused_before_the_input_is_read(
+        tmp_path, capsys, path, floor, value):
+    payload = _seed13_payload(tmp_path)
+    _set(payload, path, value(floor))
+    cfgp = tmp_path / "cfg.yaml"
+    cfgp.write_text(yaml.safe_dump(payload))
+    assert main(["pipeline", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path[-1]} must be a whole number >= {floor}, got " in err
+
+
+@pytest.mark.parametrize("path, floor", _WHOLE_NUMBER_KEYS,
+                         ids=[p[-1] for p, _ in _WHOLE_NUMBER_KEYS])
+def test_config_takes_a_numpy_integer(tmp_path, path, floor):
+    payload = _seed13_payload(tmp_path)
+    _set(payload, path, np.int64(2))
+    cfg = parse_config(payload)
+    section = {"models": cfg.models[0], "diagnostics": cfg.diagnostics,
+               "unit_root": cfg.unit_root}[path[0]]
+    assert getattr(section, path[-1]) == 2
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """A small cointegrated pair, its Y series and an ARDL(1, 1) fit."""
+    ds = generate(CointegratedPair(T=80, seed=25))
+    return ds, ds["Y"], estimate_ardl(ds, ArdlSpec("Y", ("X",), 1,
+                                                   {"X": 1})).levels_fit
+
+
+# (call with the value, key named, floor, error type, CLI exit code): each
+# library function and config class that takes a whole number
+_LIBRARY_WHOLE_NUMBERS = {
+    "select_lags-max_p": (lambda d, s, f, v: select_lags(d, v, 1),
+                          "max_p", 1, InvalidParameters, 2),
+    "select_lags-max_q": (lambda d, s, f, v: select_lags(d, 1, v),
+                          "max_q", 0, InvalidParameters, 2),
+    "ArdlSpec-p": (lambda d, s, f, v: ArdlSpec("Y", ("X",), v, {"X": 0}),
+                   "p", 1, InvalidParameters, 2),
+    "ArdlSpec-q": (lambda d, s, f, v: ArdlSpec("Y", ("X",), 1, {"X": v}),
+                   "q['X']", 0, InvalidParameters, 2),
+    "adf_test-max_lag": (lambda d, s, f, v: adf_test(s, max_lag=v),
+                         "max_lag", 0, ValueError, None),
+    "pp_test-bandwidth": (lambda d, s, f, v: pp_test(s, bandwidth=v),
+                          "bandwidth", 0, ValueError, None),
+    "breusch_godfrey-lags": (lambda d, s, f, v: breusch_godfrey(f, v),
+                             "lags", 1, ValueError, None),
+    "UnitRootConfig-max_lag": (lambda d, s, f, v: UnitRootConfig(max_lag=v),
+                               "unit_root.max_lag", 0, ConfigError, 2),
+    "UnitRootConfig-bandwidth": (
+        lambda d, s, f, v: UnitRootConfig(bandwidth=v),
+        "unit_root.bandwidth", 0, ConfigError, 2),
+    "ModelSpec-max_p": (lambda d, s, f, v: ModelSpec("m", "Y", ("X",), v),
+                        "model 'm': max_p", 1, ConfigError, 2),
+    "ModelSpec-max_q": (
+        lambda d, s, f, v: ModelSpec("m", "Y", ("X",), 1, v),
+        "model 'm': max_q", 0, ConfigError, 2),
+    "DiagnosticsStage-bg_lags": (
+        lambda d, s, f, v: DiagnosticsStage(bg_lags=v),
+        "diagnostics.bg_lags", 1, ConfigError, 2),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_WHOLE.values(), ids=_NOT_WHOLE)
+@pytest.mark.parametrize("case", _LIBRARY_WHOLE_NUMBERS)
+def test_library_whole_numbers_follow_the_config_rule(pair, case, value):
+    call, key, floor, error, code = _LIBRARY_WHOLE_NUMBERS[case]
+    value = value(floor)
+    with pytest.raises(error) as info:
+        call(*pair, value)
+    assert str(info.value) == (f"{key} must be a whole number >= {floor}, "
+                               f"got {value!r}")
+    # an ardlkit error has its exit code; a plain ValueError has none
+    assert next((c for kind, c in cli._EXIT_CODES
+                 if isinstance(info.value, kind)), None) == code
+    call(*pair, np.int64(2))
+
+
+# (call with the value, key named, error type): each library function and
+# config class that takes a choice of names, given 5, None and "bogus"
+_LIBRARY_CHOICES = {
+    "select_lags-criterion": (
+        lambda d, v: select_lags(d, 1, 1, v), "criterion",
+        InvalidParameters),
+    "bounds_test-case": (
+        lambda d, v: bounds_test(estimate_ardl(
+            d, ArdlSpec("Y", ("X",), 1, {"X": 1})), v),
+        "bounds-test case", InvalidParameters),
+    "adf_test-rule": (lambda d, v: adf_test(d["Y"], rule=v), "rule",
+                      ValueError),
+    "UnitRootConfig-rule": (lambda d, v: UnitRootConfig(rule=v),
+                            "unit_root.rule", ConfigError),
+    "UnitRootConfig-test": (lambda d, v: UnitRootConfig(test=v),
+                            "unit_root.test", ConfigError),
+    "ModelSpec-criterion": (
+        lambda d, v: ModelSpec("m", "Y", ("X",), criterion=v),
+        "model 'm': criterion", ConfigError),
+    "ModelSpec-bounds_case": (
+        lambda d, v: ModelSpec("m", "Y", ("X",), bounds_case=v),
+        "model 'm': bounds_case", ConfigError),
+}
+
+
+@pytest.mark.parametrize("value", [5, None, "bogus"])
+@pytest.mark.parametrize("case", _LIBRARY_CHOICES)
+def test_a_choice_that_is_not_one_of_the_names_is_refused(pair, case, value):
+    call, key, error = _LIBRARY_CHOICES[case]
+    with pytest.raises(error, match=f"^{re.escape(key)} must be .*, got "
+                                    f"{re.escape(repr(value))}$"):
+        call(pair[0], value)
+
+
+def test_a_choice_in_any_case_keeps_its_own_spelling(pair):
+    ds = pair[0]
+    assert select_lags(ds, 2, 2, "aic") == select_lags(ds, 2, 2, "AIC")
+    assert adf_test(ds["Y"], rule="Fixed", max_lag=1).selection_rule == \
+        "fixed"
+    assert ModelSpec("m", "Y", ("X",), criterion="sbc",
+                     bounds_case="ii").criterion == "sbc"
+    assert UnitRootConfig(test="pp", rule="sbc").rule == "sbc"
 
 
 # A fuzz of the command line: seed13's first rows and config, with a few

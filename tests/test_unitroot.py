@@ -236,8 +236,8 @@ class TestLagSelectionOracle:
         # the criteria of orders 0..3; the search compares each order
         # with the best so far, not with the order before it
         monkeypatch.setattr(
-            ardlkit.unitroot, "nested_criteria",
-            lambda y, X: [(9.0, 9.0)] * (X.k - 3) + [(c, c) for c in scores])
+            ardlkit.unitroot, "_tail_criteria",
+            lambda z, n: [(9.0, 9.0)] * (len(z) - 4) + [(c, c) for c in scores])
         s = make_series(_simulated("walk", 100, 1))
         for rule in ("AIC", "SBC"):
             assert adf_test(s, max_lag=3, rule=rule).lag_or_bandwidth == \
